@@ -19,6 +19,13 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 echo "== cargo build --release (whole workspace) =="
 cargo build --release --offline --workspace
 
+echo "== slbench (the repo benchmark builds against these crates by path) =="
+# slbench is a workspace of its own, so nothing above compiles it; a
+# rename that breaks the API it calls must fail here, not in the
+# benchmark run.
+cargo build --offline --release --manifest-path slbench/Cargo.toml
+cargo test --offline -q --manifest-path slbench/Cargo.toml
+
 echo "== cargo test (whole workspace) =="
 cargo test --offline -q --workspace
 

@@ -9,6 +9,7 @@ use slopt_ir::cfg::{BlockId, FuncId};
 use slopt_ir::interp::SplitMix64;
 use slopt_ir::source::SourceLine;
 use slopt_ir::types::{FieldIdx, FieldType, PrimType, RecordId, RecordType};
+use slopt_obs::Obs;
 use slopt_sample::{ConcurrencyConfig, ConcurrencyMap, Sample};
 use slopt_sim::{CacheConfig, CpuId, LatencyModel, MemSystem, Topology};
 
@@ -68,7 +69,7 @@ fn bench_clustering(c: &mut Criterion) {
         let flg = random_flg(n, 6, 42);
         let rec = record_u64(n);
         group.bench_with_input(BenchmarkId::new("greedy", n), &n, |b, _| {
-            b.iter(|| cluster(&flg, &rec, 128))
+            b.iter(|| cluster(&flg, &rec, 128, &Obs::disabled()))
         });
     }
     group.finish();

@@ -29,7 +29,7 @@ fn main() {
 
     let machine = Machine::superdome(128);
     let base_table = baseline_layouts(raw, setup.sdet.line_size);
-    let baseline = measure(raw, &base_table, &machine, &setup.sdet, setup.runs);
+    let baseline = measure(raw, &base_table, &machine, &setup.sdet, setup.runs, 1);
 
     println!("=== ablation: intra-procedural analysis vs inlining (struct B) ===");
     for (label, kernel) in [("intra-procedural", raw), ("inlined", &inlined)] {
@@ -42,7 +42,7 @@ fn main() {
         // Measure the layout on the *raw* kernel — the transformation
         // applies to the source either way; only the analysis differs.
         let table = layouts_with(raw, setup.sdet.line_size, b, suggestion.layout.clone());
-        let t = measure(raw, &table, &machine, &setup.sdet, setup.runs);
+        let t = measure(raw, &table, &machine, &setup.sdet, setup.runs, 1);
         println!(
             "{label:<18}: affinity(v_flags, v_refcnt) = {:>6}, co-located = {}, {:+.2}% vs baseline",
             affinity.weight(flags, refcnt),

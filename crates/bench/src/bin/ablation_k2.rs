@@ -15,6 +15,7 @@
 
 use slopt_bench::{figure_setup, measure_cells, require_complete, Cell, CommonArgs};
 use slopt_core::{suggest_layout, FlgParams, ToolParams};
+use slopt_obs::Obs;
 use slopt_workload::{analyze, baseline_layouts, layouts_with, loss_for, Machine, STAT_CLASSES};
 
 fn main() {
@@ -49,7 +50,8 @@ fn main() {
             flg: FlgParams { k1: 1.0, k2 },
             ..setup.tool
         };
-        let suggestion = suggest_layout(ty, &affinity, Some(&loss), params).expect("valid record");
+        let suggestion = suggest_layout(ty, &affinity, Some(&loss), params, &Obs::disabled())
+            .expect("valid record");
         let flags = kernel.field(a, "flags");
         isolated_flags.push((0..STAT_CLASSES).all(|k| {
             let stat = kernel.field(a, &format!("stat{k}"));

@@ -16,6 +16,7 @@
 use slopt_bench::{figure_setup, measure_cells, require_complete, Cell, CommonArgs};
 use slopt_core::suggest_layout;
 use slopt_ir::affinity::{AffinityGraph, AffinityMode};
+use slopt_obs::Obs;
 use slopt_workload::{analyze, baseline_layouts, layouts_with, loss_for, Machine};
 
 const MODES: [AffinityMode; 2] = [AffinityMode::Minimum, AffinityMode::GroupFrequency];
@@ -47,7 +48,8 @@ fn main() {
             let affinity =
                 AffinityGraph::analyze_with_mode(&kernel.program, &analysis.profile, rec, mode);
             let suggestion =
-                suggest_layout(ty, &affinity, Some(&loss), setup.tool).expect("valid record");
+                suggest_layout(ty, &affinity, Some(&loss), setup.tool, &Obs::disabled())
+                    .expect("valid record");
             cells.push(Cell {
                 label: format!("{letter}/{mode:?}"),
                 table: layouts_with(kernel, setup.sdet.line_size, rec, suggestion.layout.clone()),

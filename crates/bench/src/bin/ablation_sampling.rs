@@ -13,6 +13,7 @@
 use slopt_bench::{CommonArgs, SITE_WORKER};
 use slopt_core::{par_map_supervised, suggest_layout, WorkerError};
 use slopt_fault::{exit, FaultKind};
+use slopt_obs::Obs;
 use slopt_sample::{concurrency_map, ConcurrencyConfig, ExactCounter, SamplerConfig};
 use slopt_workload::{analyze_obs, baseline_layouts, run_once, AnalysisConfig, STAT_CLASSES};
 
@@ -84,8 +85,14 @@ fn main() {
         let a = kernel.records.a;
         let affinity = slopt_workload::analyze::affinity_for(kernel, &analysis, a);
         let loss = slopt_workload::loss_for(kernel, &analysis, a);
-        let suggestion = suggest_layout(kernel.record_type(a), &affinity, Some(&loss), setup.tool)
-            .expect("valid record");
+        let suggestion = suggest_layout(
+            kernel.record_type(a),
+            &affinity,
+            Some(&loss),
+            setup.tool,
+            &Obs::disabled(),
+        )
+        .expect("valid record");
         let flags = kernel.field(a, "flags");
         let isolated = (0..STAT_CLASSES).all(|k| {
             let stat = kernel.field(a, &format!("stat{k}"));

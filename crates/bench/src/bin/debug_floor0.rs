@@ -19,7 +19,7 @@ fn main() {
 
     let machine = Machine::superdome(128);
     let base_table = baseline_layouts(kernel, setup.sdet.line_size);
-    let baseline = measure(kernel, &base_table, &machine, &setup.sdet, setup.runs);
+    let baseline = measure(kernel, &base_table, &machine, &setup.sdet, setup.runs, 1);
 
     for floor in [0.0, 0.01] {
         let params = ToolParams {
@@ -32,7 +32,7 @@ fn main() {
         let layout = suggest_constrained(ty, &original, &affinity, Some(&loss), params).unwrap();
         let unchanged = layout.order() == original.order();
         let table = layouts_with(kernel, setup.sdet.line_size, a, layout);
-        let t = measure(kernel, &table, &machine, &setup.sdet, setup.runs);
+        let t = measure(kernel, &table, &machine, &setup.sdet, setup.runs, 1);
         println!(
             "negative_floor = {floor}: order unchanged = {unchanged}, {:+.2}% vs baseline",
             t.pct_vs(&baseline)

@@ -33,7 +33,7 @@ use slopt_ir::types::RecordId;
 use slopt_obs::Obs;
 use slopt_search::{Portfolio, SearchParams};
 use slopt_workload::{
-    analyze_obs, baseline_layouts, layouts_with, measure_jobs, search_for_obs, stress_records,
+    analyze_obs, baseline_layouts, layouts_with, measure, search_for, stress_records,
     stress_workload, suggest_for_obs, validate_top_k, KernelAnalysis, Machine, SdetConfig,
     WorkloadSpec,
 };
@@ -76,7 +76,7 @@ fn section<W: WorkloadSpec + Sync>(
     obs: &Obs,
 ) -> usize {
     let base_table = baseline_layouts(w, cfg.sdet.line_size);
-    let base = measure_jobs(w, &base_table, cfg.machine, cfg.sdet, cfg.runs, cfg.jobs);
+    let base = measure(w, &base_table, cfg.machine, cfg.sdet, cfg.runs, cfg.jobs);
 
     println!(
         "[{label}] {:<12} {:>14} {:>14} {:>10}  {:>8} {:>8} {:>8}",
@@ -85,7 +85,7 @@ fn section<W: WorkloadSpec + Sync>(
     let mut better = 0usize;
     for (name, rec) in records {
         let rec = *rec;
-        let search = search_for_obs(
+        let search = search_for(
             w,
             analysis,
             rec,
@@ -115,7 +115,7 @@ fn section<W: WorkloadSpec + Sync>(
             sort_by_hotness(ty, &hot, cfg.tool.layout.line_size).expect("valid record");
         let measure_layout = |layout: slopt_ir::layout::StructLayout| {
             let table = layouts_with(w, cfg.sdet.line_size, rec, layout);
-            measure_jobs(w, &table, cfg.machine, cfg.sdet, cfg.runs, cfg.jobs)
+            measure(w, &table, cfg.machine, cfg.sdet, cfg.runs, cfg.jobs)
         };
         let tool_tp = measure_layout(suggestion.layout.clone());
         let hot_tp = measure_layout(hot_layout);

@@ -27,7 +27,7 @@
 //!    sample stream.
 //! 4. **flg_cluster** — dense triangular `Flg` construction + greedy
 //!    clustering vs the hash-map `FlgRef` through the same generic
-//!    `cluster_with`.
+//!    `cluster`.
 //! 5. **search_delta** — the annealing search's incremental
 //!    `DeltaObjective` (`score_move` per proposal, `apply` on the
 //!    accepted ones) vs what a no-delta search pays: cloning the
@@ -71,11 +71,12 @@
 //! new fields.
 
 use slopt_bench::CommonArgs;
-use slopt_core::{canonical_cluster_sum, cluster, cluster_with, DeltaObjective, Flg, FlgRef, Move};
+use slopt_core::{canonical_cluster_sum, cluster, DeltaObjective, Flg, FlgRef, Move};
 use slopt_ir::cfg::{BlockId, FuncId};
 use slopt_ir::interp::SplitMix64;
 use slopt_ir::source::SourceLine;
 use slopt_ir::types::{FieldIdx, FieldType, PrimType, RecordId, RecordType};
+use slopt_obs::Obs;
 use slopt_sample::{
     concurrency_map, concurrency_map_naive, concurrency_map_reference, ConcurrencyConfig, Sample,
 };
@@ -252,7 +253,9 @@ fn bench_cc_stream(args: &Args) -> BenchResult {
     let mut dense_s = Vec::new();
     let mut streamed = None;
     for _ in 0..reps {
-        let (out, td) = time(|| slopt_sample::shard_concurrency(&dir, cfg, 1).expect("stream"));
+        let (out, td) = time(|| {
+            slopt_sample::shard_concurrency(&dir, cfg, 1, &Obs::disabled()).expect("stream")
+        });
         dense_s.push(td);
         assert_eq!(out.1.samples as usize, n, "stream must ingest every sample");
         assert_eq!(out.1.shards_skipped, 0, "no shard may be skipped");
@@ -267,7 +270,7 @@ fn bench_cc_stream(args: &Args) -> BenchResult {
     let (fanned, jobs_total) = time(|| {
         (0..reps)
             .map(|_| {
-                slopt_sample::shard_concurrency(&dir, cfg, args.jobs)
+                slopt_sample::shard_concurrency(&dir, cfg, args.jobs, &Obs::disabled())
                     .expect("stream")
                     .0
             })
@@ -538,13 +541,13 @@ fn bench_flg_cluster(args: &Args) -> BenchResult {
     for _ in 0..reps {
         let (dense, td) = time(|| {
             let flg = Flg::from_parts(RecordId(0), hotness.clone(), edges.iter().copied());
-            cluster(&flg, &rec, 128)
+            cluster(&flg, &rec, 128, &Obs::disabled())
         });
         dense_s.push(td);
         if args.reference {
             let (refr, tr) = time(|| {
                 let flg = FlgRef::from_parts(RecordId(0), hotness.clone(), edges.iter().copied());
-                cluster_with(&flg, &rec, 128)
+                cluster(&flg, &rec, 128, &Obs::disabled())
             });
             reference_s.push(tr);
             assert_eq!(
@@ -615,7 +618,7 @@ fn bench_search_delta(args: &Args) -> BenchResult {
     let (hotness, edges) = random_edges(n, per_field, 0x5EA7C4);
     let rec = record_u64(n as usize);
     let flg = Flg::from_parts(RecordId(0), hotness, edges.iter().copied());
-    let start = cluster(&flg, &rec, line);
+    let start = cluster(&flg, &rec, line, &Obs::disabled());
 
     let mut trace: Vec<(Move, bool)> = Vec::with_capacity(proposals);
     {

@@ -11,9 +11,10 @@
 //! accepts the shared execution-context flags ([`slopt_bench::args`]).
 
 use slopt_bench::{default_figure_setup, CommonArgs};
+use slopt_obs::Obs;
 use slopt_sim::{LatencyModel, Topology};
 use slopt_workload::{
-    baseline_layouts, compute_paper_layouts, layouts_with, measure, LayoutKind, Machine,
+    baseline_layouts, compute_paper_layouts_jobs_obs, layouts_with, measure, LayoutKind, Machine,
 };
 
 fn scaled(lat: LatencyModel, factor: f64) -> LatencyModel {
@@ -37,7 +38,14 @@ fn main() {
         &[],
     );
     let setup = default_figure_setup(args.scale);
-    let layouts = compute_paper_layouts(&setup.kernel, &setup.sdet, &setup.analysis, setup.tool);
+    let layouts = compute_paper_layouts_jobs_obs(
+        &setup.kernel,
+        &setup.sdet,
+        &setup.analysis,
+        setup.tool,
+        1,
+        &Obs::disabled(),
+    );
     let a = setup.kernel.records.a;
 
     println!("=== struct A degradation vs coherence-transfer latency (64-way) ===");
@@ -58,6 +66,7 @@ fn main() {
             &machine,
             &setup.sdet,
             setup.runs,
+            1,
         );
         let table = layouts_with(
             &setup.kernel,
@@ -65,7 +74,7 @@ fn main() {
             a,
             layouts.layout(a, LayoutKind::SortByHotness).clone(),
         );
-        let t = measure(&setup.kernel, &table, &machine, &setup.sdet, setup.runs);
+        let t = measure(&setup.kernel, &table, &machine, &setup.sdet, setup.runs, 1);
         println!(
             "{factor:>8} {:>10} {:>21.2}%",
             lat.remote,

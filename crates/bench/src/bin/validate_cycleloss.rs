@@ -15,9 +15,10 @@
 //! Usage: `cargo run --release -p slopt-bench --bin validate_cycleloss`
 
 use slopt_bench::{default_figure_setup, parse_scale};
+use slopt_obs::Obs;
 use slopt_workload::{
-    analyze, compute_paper_layouts, ground_truth_loss, layouts_with, loss_for, run_once_logged,
-    LayoutKind, Machine,
+    analyze, compute_paper_layouts_jobs_obs, ground_truth_loss, layouts_with, loss_for,
+    run_once_logged, LayoutKind, Machine,
 };
 use std::collections::HashSet;
 
@@ -34,7 +35,14 @@ fn main() {
     let estimated = loss_for(kernel, &analysis, a);
 
     // 2. Ground truth under the co-locating layout.
-    let paper = compute_paper_layouts(kernel, &setup.sdet, &setup.analysis, setup.tool);
+    let paper = compute_paper_layouts_jobs_obs(
+        kernel,
+        &setup.sdet,
+        &setup.analysis,
+        setup.tool,
+        1,
+        &Obs::disabled(),
+    );
     let table = layouts_with(
         kernel,
         setup.sdet.line_size,

@@ -445,14 +445,13 @@ pub struct FigureOutcome {
 /// transformed struct at a time — under the given execution context, and
 /// assembles the [`Figure`] when every cell completes.
 ///
-/// This is [`slopt_workload::figure_rows_jobs_obs`] routed through
-/// [`measure_cells`]: the grid comes from the same [`figure_tables`]
-/// call (the single source of cell order), so the result is
-/// bit-identical to the direct path for every `jobs` value,
-/// checkpointed or not. With a checkpoint, the analysis' concurrency
-/// map is additionally snapshotted to `cc.snap` ([`guard_cc_snapshot`]):
-/// a resumed run whose analysis drifted from the checkpointed one fails
-/// instead of mixing two experiments.
+/// The grid comes from [`figure_tables`] (the single source of cell
+/// order) and is measured by [`measure_cells`], so the result is
+/// bit-identical for every `jobs` value, checkpointed or not. With a
+/// checkpoint, the analysis' concurrency map is additionally snapshotted
+/// to `cc.snap` ([`guard_cc_snapshot`]): a resumed run whose analysis
+/// drifted from the checkpointed one fails instead of mixing two
+/// experiments.
 ///
 /// When permanent faults poison cells the [`FigureOutcome`] carries the
 /// partial per-cell values instead of a figure, and the caller is
@@ -737,6 +736,7 @@ mod tests {
             &cells[0].machine,
             &cells[0].sdet,
             3,
+            1,
         );
         for jobs in [1, 4] {
             let out = complete(

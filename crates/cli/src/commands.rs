@@ -13,7 +13,7 @@ use slopt_search::{Portfolio, SearchParams};
 use slopt_sim::AccessClass;
 use slopt_workload::{
     analyze_obs, baseline_layouts, build_kernel, compute_paper_layouts_jobs_obs, layouts_with,
-    measure_jobs, run_once_obs, search_for_obs, stress_records, stress_workload, suggest_for_obs,
+    measure, run_once_obs, search_for, stress_records, stress_workload, suggest_for_obs,
     validate_top_k, AnalysisConfig, KernelAnalysis, LayoutKind, Machine, SdetConfig, WorkloadSpec,
 };
 use std::path::PathBuf;
@@ -476,7 +476,7 @@ pub fn figures(args: &[String]) -> Result<(), CliError> {
         }
     }
     // A tiny shared-measure sanity line so users see the baseline too.
-    let base = measure_jobs(
+    let base = measure(
         &kernel,
         &layouts_with(
             &kernel,
@@ -642,10 +642,10 @@ fn search_table<W: WorkloadSpec + Sync>(
     let mut better = 0usize;
     for (name, rec) in records {
         let rec = *rec;
-        let search = search_for_obs(w, analysis, rec, tool, params, portfolio, jobs, obs);
+        let search = search_for(w, analysis, rec, tool, params, portfolio, jobs, obs);
         let (validated, best_i) = validate_top_k(w, &search, tool, &machine, sdet, top, runs, jobs);
         let suggestion = suggest_for_obs(w, analysis, rec, tool, obs);
-        let tool_tp = measure_jobs(
+        let tool_tp = measure(
             w,
             &layouts_with(w, sdet.line_size, rec, suggestion.layout.clone()),
             &machine,

@@ -12,7 +12,7 @@
 //! Every cluster is later materialized as a cache-line-aligned group of the
 //! output layout, so fields in different clusters never share a line.
 
-use crate::flg::{Flg, FlgView};
+use crate::flg::FlgView;
 use slopt_ir::types::{FieldIdx, RecordType};
 
 /// A partition of a record's fields into cache-line clusters, in creation
@@ -64,11 +64,18 @@ impl Clustering {
     }
 }
 
-/// Bytes a cluster occupies when its fields are packed in order under C
-/// alignment rules (starting at a cache-line boundary).
-fn cluster_bytes(record: &RecordType, members: &[FieldIdx]) -> u64 {
-    let mut cursor = 0u64;
-    for &f in members {
+/// Bytes a cluster occupies when `fields` are packed in order under C
+/// alignment rules, continuing from `start` bytes (`0` = a cache-line
+/// boundary) — the one packing rule behind every capacity check: the
+/// greedy pass here and the delta evaluator's moves. Extending a cluster
+/// of `b` bytes by `f` is `cluster_bytes(record, b, [f])`, no re-pack.
+pub(crate) fn cluster_bytes(
+    record: &RecordType,
+    start: u64,
+    fields: impl IntoIterator<Item = FieldIdx>,
+) -> u64 {
+    let mut cursor = start;
+    for f in fields {
         let def = record.field(f);
         let a = def.align();
         cursor = (cursor + a - 1) & !(a - 1);
@@ -77,21 +84,14 @@ fn cluster_bytes(record: &RecordType, members: &[FieldIdx]) -> u64 {
     cursor
 }
 
-/// Cache lines a cluster needs. (The hot path inlines this via the
-/// incremental form in `find_best_match`; kept for tests.)
-#[cfg(test)]
-fn cluster_lines(record: &RecordType, members: &[FieldIdx], line_size: u64) -> u64 {
-    cluster_bytes(record, members).div_ceil(line_size).max(1)
-}
-
 /// `find_best_match` (paper Fig. 7): the unassigned field with the largest
 /// positive total edge weight into the cluster, among those that do not
 /// grow the cluster's line count.
 ///
 /// The fit test is O(1) per candidate: because fields are packed in order,
 /// appending `f` to the cluster yields exactly
-/// `align(cluster_bytes(cluster), align(f)) + size(f)` bytes — no need to
-/// re-pack the extended cluster.
+/// `cluster_bytes(record, bytes(cluster), [f])` — no need to re-pack the
+/// extended cluster.
 fn find_best_match<V: FlgView>(
     flg: &V,
     record: &RecordType,
@@ -99,14 +99,12 @@ fn find_best_match<V: FlgView>(
     unassigned: &[FieldIdx],
     line_size: u64,
 ) -> Option<FieldIdx> {
-    let current_bytes = cluster_bytes(record, cluster);
+    let current_bytes = cluster_bytes(record, 0, cluster.iter().copied());
     let current_lines = current_bytes.div_ceil(line_size).max(1);
     let mut best: Option<FieldIdx> = None;
     let mut best_weight = 0.0f64;
     for &f in unassigned {
-        let def = record.field(f);
-        let a = def.align();
-        let extended_bytes = ((current_bytes + a - 1) & !(a - 1)) + def.size();
+        let extended_bytes = cluster_bytes(record, current_bytes, [f]);
         if extended_bytes.div_ceil(line_size).max(1) > current_lines {
             continue;
         }
@@ -120,26 +118,17 @@ fn find_best_match<V: FlgView>(
 }
 
 /// Runs the greedy clustering (paper Fig. 6) over any FLG view — the
-/// dense [`Flg`] in production, [`crate::flg::reference::FlgRef`] when
-/// measuring the dense representation against the original hash map.
+/// dense [`Flg`](crate::flg::Flg) in production,
+/// [`crate::flg::reference::FlgRef`] when measuring the dense
+/// representation against the original hash map. Wraps the run in a
+/// `cluster` span and flushes `cluster.iterations` (calls to
+/// `find_best_match`) and `cluster.clusters` to `obs`.
 ///
 /// # Panics
 ///
 /// Panics if the FLG's field count differs from the record's, or if
 /// `line_size` is not a power of two.
-pub fn cluster_with<V: FlgView>(flg: &V, record: &RecordType, line_size: u64) -> Clustering {
-    cluster_with_obs(flg, record, line_size, &slopt_obs::Obs::disabled())
-}
-
-/// [`cluster_with`] with instrumentation: wraps the run in a `cluster`
-/// span and flushes `cluster.iterations` (calls to `find_best_match`) and
-/// `cluster.clusters` to `obs`.
-///
-/// # Panics
-///
-/// Panics if the FLG's field count differs from the record's, or if
-/// `line_size` is not a power of two.
-pub fn cluster_with_obs<V: FlgView>(
+pub fn cluster<V: FlgView>(
     flg: &V,
     record: &RecordType,
     line_size: u64,
@@ -179,20 +168,12 @@ pub fn cluster_with_obs<V: FlgView>(
     Clustering::new(clusters)
 }
 
-/// Runs the greedy clustering (paper Fig. 6) over the FLG.
-///
-/// # Panics
-///
-/// Panics if the FLG's field count differs from the record's, or if
-/// `line_size` is not a power of two.
-pub fn cluster(flg: &Flg, record: &RecordType, line_size: u64) -> Clustering {
-    cluster_with(flg, record, line_size)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flg::Flg;
     use slopt_ir::types::{FieldType, PrimType, RecordId, RecordType};
+    use slopt_obs::Obs;
 
     fn record_u64(n: usize) -> RecordType {
         RecordType::new(
@@ -212,7 +193,7 @@ mod tests {
             vec![(FieldIdx(0), FieldIdx(1), 10.0)],
         );
         let rec = record_u64(3);
-        let c = cluster(&flg, &rec, 128);
+        let c = cluster(&flg, &rec, 128, &Obs::disabled());
         assert_eq!(c.len(), 2);
         assert_eq!(c.clusters()[0], vec![FieldIdx(0), FieldIdx(1)]);
         assert_eq!(c.clusters()[1], vec![FieldIdx(2)]);
@@ -229,7 +210,7 @@ mod tests {
             vec![(FieldIdx(0), FieldIdx(1), -50.0)],
         );
         let rec = record_u64(2);
-        let c = cluster(&flg, &rec, 128);
+        let c = cluster(&flg, &rec, 128, &Obs::disabled());
         assert_eq!(c.len(), 2, "false-sharing fields must split");
     }
 
@@ -247,7 +228,7 @@ mod tests {
             ],
         );
         let rec = record_u64(3);
-        let c = cluster(&flg, &rec, 128);
+        let c = cluster(&flg, &rec, 128, &Obs::disabled());
         assert_eq!(c.clusters()[0], vec![FieldIdx(0), FieldIdx(1)]);
         assert_eq!(c.clusters()[1], vec![FieldIdx(2)]);
     }
@@ -264,7 +245,7 @@ mod tests {
         }
         let flg = Flg::from_parts(RecordId(0), vec![10; n], edges);
         let rec = record_u64(n);
-        let c = cluster(&flg, &rec, 128);
+        let c = cluster(&flg, &rec, 128, &Obs::disabled());
         assert_eq!(c.len(), 2);
         assert_eq!(c.clusters()[0].len(), 16);
         assert_eq!(c.clusters()[1].len(), 1);
@@ -296,7 +277,7 @@ mod tests {
                 (FieldIdx(0), FieldIdx(2), 5.0),
             ],
         );
-        let c = cluster(&flg, &rec, 128);
+        let c = cluster(&flg, &rec, 128, &Obs::disabled());
         // 200 bytes uses lines 0..=1 with 56 bytes of tail: both u64s fit.
         assert_eq!(c.len(), 1);
         assert_eq!(c.clusters()[0].len(), 3);
@@ -306,7 +287,7 @@ mod tests {
     fn zero_hotness_fields_become_singletons() {
         let flg = Flg::from_parts(RecordId(0), vec![0, 0, 0], vec![]);
         let rec = record_u64(3);
-        let c = cluster(&flg, &rec, 128);
+        let c = cluster(&flg, &rec, 128, &Obs::disabled());
         assert_eq!(c.len(), 3);
         for cl in c.clusters() {
             assert_eq!(cl.len(), 1);
@@ -317,8 +298,8 @@ mod tests {
     fn deterministic_given_equal_hotness() {
         let flg = Flg::from_parts(RecordId(0), vec![5; 6], vec![]);
         let rec = record_u64(6);
-        let c1 = cluster(&flg, &rec, 128);
-        let c2 = cluster(&flg, &rec, 128);
+        let c1 = cluster(&flg, &rec, 128, &Obs::disabled());
+        let c2 = cluster(&flg, &rec, 128, &Obs::disabled());
         assert_eq!(c1, c2);
     }
 
@@ -336,7 +317,7 @@ mod tests {
             ],
         );
         let rec = record_u64(3);
-        let c = cluster(&flg, &rec, 128);
+        let c = cluster(&flg, &rec, 128, &Obs::disabled());
         assert_eq!(
             c.clusters(),
             &[vec![FieldIdx(1)], vec![FieldIdx(2)], vec![FieldIdx(0)]]
@@ -350,7 +331,7 @@ mod tests {
     }
 
     #[test]
-    fn cluster_with_reference_flg_matches_dense() {
+    fn reference_flg_clusters_like_dense() {
         use crate::flg::reference::FlgRef;
         let n = 17;
         let mut edges = Vec::new();
@@ -365,8 +346,8 @@ mod tests {
         let reference = FlgRef::from_parts(RecordId(0), hotness, edges);
         let rec = record_u64(n);
         assert_eq!(
-            cluster(&dense, &rec, 128),
-            cluster_with(&reference, &rec, 128)
+            cluster(&dense, &rec, 128, &Obs::disabled()),
+            cluster(&reference, &rec, 128, &Obs::disabled())
         );
     }
 
@@ -379,8 +360,9 @@ mod tests {
                 ("b", FieldType::Prim(PrimType::U64)),
             ],
         );
-        assert_eq!(cluster_bytes(&rec, &[FieldIdx(0), FieldIdx(1)]), 16);
-        assert_eq!(cluster_bytes(&rec, &[FieldIdx(1), FieldIdx(0)]), 9);
-        assert_eq!(cluster_lines(&rec, &[FieldIdx(0), FieldIdx(1)], 128), 1);
+        assert_eq!(cluster_bytes(&rec, 0, [FieldIdx(0), FieldIdx(1)]), 16);
+        assert_eq!(cluster_bytes(&rec, 0, [FieldIdx(1), FieldIdx(0)]), 9);
+        // Continuing from a partial cluster pads to the field's alignment.
+        assert_eq!(cluster_bytes(&rec, 1, [FieldIdx(1)]), 16);
     }
 }

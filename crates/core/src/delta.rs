@@ -36,7 +36,7 @@
 //! packed cluster bytes are cached, so extending a cluster by one field
 //! is `align(bytes, align(f)) + size(f)` with no re-pack.
 
-use crate::cluster::Clustering;
+use crate::cluster::{cluster_bytes, Clustering};
 use crate::flg::FlgView;
 use slopt_ir::types::{FieldIdx, RecordType};
 
@@ -98,30 +98,6 @@ pub fn canonical_cluster_sum<V: FlgView>(flg: &V, c: &[FieldIdx]) -> f64 {
     w
 }
 
-/// [`clustering_score`](crate::refine::clustering_score) generalized to
-/// any [`FlgView`]: same per-cluster loop, same left fold over clusters,
-/// hence bit-identical to the concrete-`Flg` scorer on the same input.
-pub fn clustering_score_with<V: FlgView>(flg: &V, clustering: &Clustering) -> f64 {
-    clustering
-        .clusters()
-        .iter()
-        .map(|c| canonical_cluster_sum(flg, c))
-        .sum()
-}
-
-/// Bytes a cluster occupies when its fields are packed in order under C
-/// alignment rules, starting at a cache-line boundary.
-fn packed_bytes(record: &RecordType, members: &[FieldIdx]) -> u64 {
-    let mut cursor = 0u64;
-    for &f in members {
-        let def = record.field(f);
-        let a = def.align();
-        cursor = (cursor + a - 1) & !(a - 1);
-        cursor += def.size();
-    }
-    cursor
-}
-
 /// Incremental evaluator of the clustering objective over one record's
 /// FLG: scores a [`Move`] in O(cluster degree), applies accepted moves,
 /// and tracks a score that stays f64-bit-identical to
@@ -130,8 +106,9 @@ fn packed_bytes(record: &RecordType, members: &[FieldIdx]) -> u64 {
 ///
 /// ```
 /// use slopt_core::delta::{DeltaObjective, Move};
-/// use slopt_core::{cluster::cluster, clustering_score, flg::Flg};
+/// use slopt_core::{cluster::cluster, clustering_score, flg::Flg, Clustering};
 /// use slopt_ir::types::{FieldIdx, FieldType, PrimType, RecordId, RecordType};
+/// use slopt_obs::Obs;
 ///
 /// let rec = RecordType::new(
 ///     "S",
@@ -146,7 +123,7 @@ fn packed_bytes(record: &RecordType, members: &[FieldIdx]) -> u64 {
 ///     vec![3, 2, 1],
 ///     vec![(FieldIdx(1), FieldIdx(2), 4.0), (FieldIdx(0), FieldIdx(1), -1.0)],
 /// );
-/// let greedy = cluster(&flg, &rec, 128);
+/// let greedy = cluster(&flg, &rec, 128, &Obs::disabled());
 /// let mut delta = DeltaObjective::new(&flg, &rec, &greedy, 128);
 /// // Estimate, apply, and confirm against the full scorer.
 /// let m = Move::MoveField { field: FieldIdx(2), dst: delta.cluster_of(FieldIdx(1)) };
@@ -157,7 +134,7 @@ fn packed_bytes(record: &RecordType, members: &[FieldIdx]) -> u64 {
 /// }
 /// assert_eq!(
 ///     delta.score().to_bits(),
-///     clustering_score(&flg, &delta.clone().into_clustering_raw()).to_bits(),
+///     clustering_score(&flg, &Clustering::new(delta.clusters().to_vec())).to_bits(),
 /// );
 /// ```
 #[derive(Clone, Debug)]
@@ -213,7 +190,10 @@ impl<'a, V: FlgView> DeltaObjective<'a, V> {
             .iter()
             .map(|c| canonical_cluster_sum(flg, c))
             .collect();
-        let bytes = clusters.iter().map(|c| packed_bytes(record, c)).collect();
+        let bytes = clusters
+            .iter()
+            .map(|c| cluster_bytes(record, 0, c.iter().copied()))
+            .collect();
         DeltaObjective {
             flg,
             record,
@@ -258,13 +238,6 @@ impl<'a, V: FlgView> DeltaObjective<'a, V> {
         )
     }
 
-    /// Consumes the evaluator into a [`Clustering`] that keeps empty
-    /// slots — the exact cluster list the tracked score folds over, for
-    /// bit-level comparison against the full scorer.
-    pub fn into_clustering_raw(self) -> Clustering {
-        Clustering::new(self.clusters)
-    }
-
     fn lines(&self, bytes: u64) -> u64 {
         bytes.div_ceil(self.line_size).max(1)
     }
@@ -276,10 +249,7 @@ impl<'a, V: FlgView> DeltaObjective<'a, V> {
         if empty {
             return true;
         }
-        let def = self.record.field(f);
-        let a = def.align();
-        let extended = ((bytes + a - 1) & !(a - 1)) + def.size();
-        self.lines(extended) <= self.lines(bytes)
+        self.lines(cluster_bytes(self.record, bytes, [f])) <= self.lines(bytes)
     }
 
     /// Scores a proposed move in O(cluster degree): `Some(estimate)` of
@@ -316,21 +286,17 @@ impl<'a, V: FlgView> DeltaObjective<'a, V> {
                 if ca == cb {
                     // Intra-cluster permutation: repack with the two
                     // positions exchanged; the objective is unchanged.
-                    let mut cursor = 0u64;
-                    for &f in &self.clusters[ca] {
-                        let g = if f == a {
+                    let swapped = self.clusters[ca].iter().map(|&f| {
+                        if f == a {
                             b
                         } else if f == b {
                             a
                         } else {
                             f
-                        };
-                        let def = self.record.field(g);
-                        let al = def.align();
-                        cursor = (cursor + al - 1) & !(al - 1);
-                        cursor += def.size();
-                    }
-                    if self.lines(cursor) > self.lines(self.bytes[ca]) {
+                        }
+                    });
+                    let bytes = cluster_bytes(self.record, 0, swapped);
+                    if self.lines(bytes) > self.lines(self.bytes[ca]) {
                         return None;
                     }
                     return Some(0.0);
@@ -373,14 +339,9 @@ impl<'a, V: FlgView> DeltaObjective<'a, V> {
                 }
                 // Packing continues from the destination's cached bytes,
                 // so the union's size is an O(|src|) extension.
-                let mut cursor = self.bytes[dst];
-                for &f in &self.clusters[src] {
-                    let def = self.record.field(f);
-                    let a = def.align();
-                    cursor = (cursor + a - 1) & !(a - 1);
-                    cursor += def.size();
-                }
-                if self.lines(cursor) > self.lines(self.bytes[dst]) {
+                let src_fields = self.clusters[src].iter().copied();
+                let bytes = cluster_bytes(self.record, self.bytes[dst], src_fields);
+                if self.lines(bytes) > self.lines(self.bytes[dst]) {
                     return None;
                 }
                 let mut joined = 0.0;
@@ -397,22 +358,17 @@ impl<'a, V: FlgView> DeltaObjective<'a, V> {
     /// Whether replacing `out` (a member of cluster `c`) with `in_` at
     /// the same position keeps the cluster's line count.
     fn replace_fits(&self, c: usize, out: FieldIdx, in_: FieldIdx) -> bool {
-        let members = &self.clusters[c];
-        let mut cursor = 0u64;
-        for &f in members {
-            let def = self.record.field(if f == out { in_ } else { f });
-            let a = def.align();
-            cursor = (cursor + a - 1) & !(a - 1);
-            cursor += def.size();
-        }
-        self.lines(cursor) <= self.lines(self.bytes[c])
+        let replaced = self.clusters[c]
+            .iter()
+            .map(|&f| if f == out { in_ } else { f });
+        self.lines(cluster_bytes(self.record, 0, replaced)) <= self.lines(self.bytes[c])
     }
 
     /// Recomputes the cached sum and byte size of one cluster in
     /// canonical order.
     fn refresh(&mut self, c: usize) {
         self.sums[c] = canonical_cluster_sum(self.flg, &self.clusters[c]);
-        self.bytes[c] = packed_bytes(self.record, &self.clusters[c]);
+        self.bytes[c] = cluster_bytes(self.record, 0, self.clusters[c].iter().copied());
     }
 
     /// Applies a move. Touched clusters' cached sums are recomputed in
@@ -506,6 +462,38 @@ impl<'a, V: FlgView> DeltaObjective<'a, V> {
     }
 }
 
+/// Steepest-ascent polish over single-field moves — the one hill-climbing
+/// driver, behind both [`refine`](crate::refine::refine) (the paper's §7
+/// "better clustering algorithm") and the final step of every
+/// `slopt-search` annealing chain.
+///
+/// Each round scores every [`Move::MoveField`] — fields in index order,
+/// destinations in slot order up to a fresh singleton — and applies the
+/// strictly best one whose estimated gain exceeds `1e-9` (ties go to the
+/// first candidate in that order). Stops when no move improves or after
+/// `max_moves` accepted moves. Returns the accepted move count.
+pub fn polish<V: FlgView>(d: &mut DeltaObjective<'_, V>, max_moves: usize) -> u64 {
+    let n = d.clusters().iter().map(Vec::len).sum::<usize>() as u32;
+    let mut accepted = 0u64;
+    while (accepted as usize) < max_moves {
+        let mut best: Option<(Move, f64)> = None;
+        for f in (0..n).map(FieldIdx) {
+            for dst in 0..=d.cluster_count() {
+                let m = Move::MoveField { field: f, dst };
+                if let Some(gain) = d.score_move(m) {
+                    if gain > 1e-9 && best.is_none_or(|(_, g)| gain > g) {
+                        best = Some((m, gain));
+                    }
+                }
+            }
+        }
+        let Some((m, _)) = best else { break };
+        d.apply(m);
+        accepted += 1;
+    }
+    accepted
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -513,6 +501,7 @@ mod tests {
     use crate::flg::Flg;
     use crate::refine::clustering_score;
     use slopt_ir::types::{FieldType, PrimType, RecordId};
+    use slopt_obs::Obs;
 
     fn record_u64(n: usize) -> RecordType {
         RecordType::new(
@@ -553,7 +542,7 @@ mod tests {
     #[test]
     fn tracked_score_matches_full_recompute_through_all_move_kinds() {
         let (flg, rec) = fixture();
-        let greedy = cluster(&flg, &rec, 128);
+        let greedy = cluster(&flg, &rec, 128, &Obs::disabled());
         let mut d = DeltaObjective::new(&flg, &rec, &greedy, 128);
         assert_eq!(
             d.score().to_bits(),
@@ -609,7 +598,7 @@ mod tests {
         }
         let flg = Flg::from_parts(RecordId(0), vec![10; n], edges);
         let rec = record_u64(n);
-        let greedy = cluster(&flg, &rec, 128);
+        let greedy = cluster(&flg, &rec, 128, &Obs::disabled());
         let d = DeltaObjective::new(&flg, &rec, &greedy, 128);
         let full = d.cluster_of(FieldIdx(0));
         let lone = (0..n as u32)
@@ -658,16 +647,5 @@ mod tests {
         assert_eq!(d.cluster_count(), 3, "empty slot reused");
         assert_eq!(d.cluster_of(FieldIdx(3)), 1);
         assert_tracks(&d, &flg);
-    }
-
-    #[test]
-    fn generic_scorer_matches_concrete_on_flg() {
-        let (flg, rec) = fixture();
-        let greedy = cluster(&flg, &rec, 128);
-        assert_eq!(
-            clustering_score(&flg, &greedy).to_bits(),
-            clustering_score_with(&flg, &greedy).to_bits()
-        );
-        let _ = rec;
     }
 }

@@ -134,6 +134,7 @@ mod tests {
     use super::*;
     use crate::cluster::cluster;
     use slopt_ir::types::{FieldType, PrimType, RecordId};
+    use slopt_obs::Obs;
 
     fn setup() -> (RecordType, Flg) {
         let rec = RecordType::new(
@@ -189,7 +190,7 @@ mod tests {
     #[test]
     fn clustering_renders_subgraph_boxes() {
         let (rec, flg) = setup();
-        let c = cluster(&flg, &rec, 128);
+        let c = cluster(&flg, &rec, 128, &Obs::disabled());
         let dot = to_dot(&rec, &flg, Some(&c), DotOptions::default());
         assert!(dot.contains("subgraph cluster_0"));
         assert!(dot.contains("line cluster"));

@@ -41,7 +41,7 @@ impl Default for FlgParams {
 }
 
 /// Read-only view of a field layout graph, as consumed by the clustering
-/// algorithm (`cluster_with`). Implemented by the dense [`Flg`] and by the
+/// algorithm ([`cluster`](crate::cluster::cluster)). Implemented by the dense [`Flg`] and by the
 /// retained hash-map [`reference::FlgRef`], so the two can be benchmarked
 /// against each other on identical inputs.
 ///
@@ -130,23 +130,14 @@ impl Flg {
 
     /// Builds the FLG from affinity (CycleGain) and optional sampled loss
     /// (CycleLoss). `loss = None` degenerates to the single-threaded layout
-    /// graph of Hundt et al. (CGO 2006).
+    /// graph of Hundt et al. (CGO 2006). Wraps the build in an `flg_build`
+    /// span and flushes graph statistics (`flg.fields`, `flg.edges_kept`,
+    /// `flg.edges_pruned`) to `obs`.
     ///
     /// # Panics
     ///
     /// Panics if `loss` describes a different record than `affinity`.
-    pub fn build(affinity: &AffinityGraph, loss: Option<&CycleLossMap>, params: FlgParams) -> Self {
-        Self::build_obs(affinity, loss, params, &slopt_obs::Obs::disabled())
-    }
-
-    /// [`Flg::build`] with instrumentation: wraps the build in an
-    /// `flg_build` span and flushes graph statistics (`flg.fields`,
-    /// `flg.edges_kept`, `flg.edges_pruned`) to `obs`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `loss` describes a different record than `affinity`.
-    pub fn build_obs(
+    pub fn build(
         affinity: &AffinityGraph,
         loss: Option<&CycleLossMap>,
         params: FlgParams,
@@ -413,6 +404,7 @@ mod tests {
     use slopt_ir::cfg::InstanceSlot;
     use slopt_ir::interp::profile_invocations;
     use slopt_ir::types::{FieldType, PrimType, RecordType, TypeRegistry};
+    use slopt_obs::Obs;
 
     #[test]
     fn from_parts_and_queries() {
@@ -474,12 +466,13 @@ mod tests {
                 k1: 1.0,
                 k2: 1000.0,
             },
+            &Obs::disabled(),
         );
         assert_eq!(flg.weight(FieldIdx(0), FieldIdx(1)), 100.0);
 
         // With synthetic loss: CC join can't easily be built here without a
         // run; covered by pipeline integration tests. Verify k1 scaling.
-        let flg2 = Flg::build(&aff, None, FlgParams { k1: 2.0, k2: 1.0 });
+        let flg2 = Flg::build(&aff, None, FlgParams { k1: 2.0, k2: 1.0 }, &Obs::disabled());
         assert_eq!(flg2.weight(FieldIdx(0), FieldIdx(1)), 200.0);
         assert_eq!(flg2.record(), s);
         assert_eq!(flg2.hotness(FieldIdx(0)), 100);

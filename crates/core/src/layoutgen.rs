@@ -69,6 +69,7 @@ mod tests {
     use super::*;
     use crate::cluster::cluster;
     use slopt_ir::types::{FieldIdx, FieldType, PrimType, RecordId, RecordType};
+    use slopt_obs::Obs;
 
     fn record_u64(n: usize) -> RecordType {
         RecordType::new(
@@ -94,7 +95,7 @@ mod tests {
                 (FieldIdx(1), FieldIdx(3), -9.0),
             ],
         );
-        let c = cluster(&flg, &rec, 128);
+        let c = cluster(&flg, &rec, 128, &Obs::disabled());
         assert_eq!(c.len(), 2);
         let layout = layout_from_clusters(&rec, &c, &flg, LayoutOptions::default()).unwrap();
         // Cluster {0,1} on line 0; {2,3} on line 1.
@@ -112,7 +113,7 @@ mod tests {
         let mut hot = vec![0u64; 21];
         hot[0] = 100;
         let flg = Flg::from_parts(RecordId(0), hot, vec![]);
-        let c = cluster(&flg, &rec, 128);
+        let c = cluster(&flg, &rec, 128, &Obs::disabled());
         assert_eq!(c.len(), 21);
         let layout = layout_from_clusters(&rec, &c, &flg, LayoutOptions::default()).unwrap();
         // Hot line + 20 packed cold u64s (160 bytes = 2 lines) = 3 lines,
@@ -130,7 +131,7 @@ mod tests {
         let mut hot = vec![0u64; 4];
         hot[0] = 1;
         let flg = Flg::from_parts(RecordId(0), hot, vec![]);
-        let c = cluster(&flg, &rec, 128);
+        let c = cluster(&flg, &rec, 128, &Obs::disabled());
         let opts = LayoutOptions {
             line_size: 128,
             pack_cold_tail: false,
@@ -147,7 +148,7 @@ mod tests {
             (0..10u64).rev().map(|i| i * 3).collect(),
             vec![(FieldIdx(3), FieldIdx(7), 4.0)],
         );
-        let c = cluster(&flg, &rec, 128);
+        let c = cluster(&flg, &rec, 128, &Obs::disabled());
         let layout = layout_from_clusters(&rec, &c, &flg, LayoutOptions::default()).unwrap();
         let mut order = layout.order().to_vec();
         order.sort();

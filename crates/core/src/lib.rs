@@ -25,6 +25,7 @@
 //! ```
 //! use slopt_core::{cluster::cluster, flg::Flg};
 //! use slopt_ir::types::{FieldIdx, FieldType, PrimType, RecordId, RecordType};
+//! use slopt_obs::Obs;
 //!
 //! // Two affine fields, one false-sharing counter.
 //! let rec = RecordType::new(
@@ -43,7 +44,7 @@
 //!         (FieldIdx(0), FieldIdx(2), -400.0),  // counter false-shares
 //!     ],
 //! );
-//! let clustering = cluster(&flg, &rec, 128);
+//! let clustering = cluster(&flg, &rec, 128, &Obs::disabled());
 //! assert_eq!(clustering.cluster_of(FieldIdx(0)), clustering.cluster_of(FieldIdx(1)));
 //! assert_ne!(clustering.cluster_of(FieldIdx(0)), clustering.cluster_of(FieldIdx(2)));
 //! ```
@@ -65,8 +66,8 @@ pub mod report;
 pub mod subgraph;
 pub mod transform;
 
-pub use cluster::{cluster, cluster_with, cluster_with_obs, Clustering};
-pub use delta::{canonical_cluster_sum, clustering_score_with, DeltaObjective, Move};
+pub use cluster::{cluster, Clustering};
+pub use delta::{canonical_cluster_sum, polish, DeltaObjective, Move};
 pub use dot::{to_dot, DotOptions};
 pub use flg::{reference::FlgRef, Flg, FlgParams, FlgView};
 pub use gvl::{layout_globals, link_order_layout, Global, GlobalId, GvlProblem, SectionLayout};
@@ -77,8 +78,7 @@ pub use par::{
     ItemFailure, SupervisePolicy, WorkerError,
 };
 pub use pipeline::{
-    suggest_constrained, suggest_layout, suggest_layout_all, suggest_layout_all_obs,
-    suggest_layout_obs, LayoutRequest, Suggestion, ToolParams,
+    suggest_constrained, suggest_layout, suggest_layout_all, LayoutRequest, Suggestion, ToolParams,
 };
 pub use refine::{clustering_score, refine, RefineParams};
 pub use report::{LayoutReport, ReportEdge};

@@ -6,7 +6,7 @@
 //! builds the FLG, clusters it, and emits both the concrete layout and the
 //! human-readable advisory.
 
-use crate::cluster::{cluster_with_obs, Clustering};
+use crate::cluster::{cluster, Clustering};
 use crate::flg::{Flg, FlgParams};
 use crate::layoutgen::{layout_from_clusters, LayoutOptions};
 use crate::refine::{refine, RefineParams};
@@ -46,6 +46,12 @@ pub struct Suggestion {
 
 /// Runs the fully automatic flow (§5.1): FLG → greedy clustering → layout.
 ///
+/// Every phase (FLG build, clustering, optional refinement, layout
+/// materialization, report) runs under its own span in `obs`, and
+/// per-layout statistics are flushed as counters — notably
+/// `layout.bytes_moved`, the summed absolute field displacement versus
+/// declaration order.
+///
 /// # Errors
 ///
 /// Returns a [`LayoutError`] if layout materialization fails.
@@ -59,34 +65,11 @@ pub fn suggest_layout(
     affinity: &AffinityGraph,
     loss: Option<&CycleLossMap>,
     params: ToolParams,
-) -> Result<Suggestion, LayoutError> {
-    suggest_layout_obs(record, affinity, loss, params, &slopt_obs::Obs::disabled())
-}
-
-/// [`suggest_layout`] with instrumentation: every phase (FLG build,
-/// clustering, optional refinement, layout materialization, report) runs
-/// under its own span, and per-layout statistics are flushed as counters —
-/// notably `layout.bytes_moved`, the summed absolute field displacement
-/// versus declaration order.
-///
-/// # Errors
-///
-/// Returns a [`LayoutError`] if layout materialization fails.
-///
-/// # Panics
-///
-/// Panics if `affinity`/`loss` describe different records than `record`'s
-/// field count implies.
-pub fn suggest_layout_obs(
-    record: &RecordType,
-    affinity: &AffinityGraph,
-    loss: Option<&CycleLossMap>,
-    params: ToolParams,
     obs: &slopt_obs::Obs,
 ) -> Result<Suggestion, LayoutError> {
     let _span = obs.span("suggest_layout");
-    let flg = Flg::build_obs(affinity, loss, params.flg, obs);
-    let mut clustering = cluster_with_obs(&flg, record, params.layout.line_size, obs);
+    let flg = Flg::build(affinity, loss, params.flg, obs);
+    let mut clustering = cluster(&flg, record, params.layout.line_size, obs);
     if let Some(rp) = params.refine {
         let _refine = obs.span("refine");
         clustering = refine(&flg, record, &clustering, params.layout.line_size, rp).0;
@@ -113,7 +96,7 @@ pub fn suggest_layout_obs(
         // scores keep three decimal digits inside the integer histogram.
         // The score is a pure function of the FLG, so the distribution is
         // identical at any --jobs value.
-        let score = crate::delta::clustering_score_with(&flg, &clustering);
+        let score = crate::refine::clustering_score(&flg, &clustering);
         obs.histogram("flg.objective_milli", (score.max(0.0) * 1e3).round() as u64);
     }
     Ok(Suggestion {
@@ -143,19 +126,10 @@ pub struct LayoutRequest<'a> {
 /// own affinity graph and loss map — so the result is **bit-identical**
 /// for every `jobs` value: results come back in request order, and no
 /// suggestion depends on shared mutable state. `jobs == 1` is exactly the
-/// serial loop.
+/// serial loop. Each record's suggestion runs under its own spans
+/// (workers get distinct trace thread ids), and the whole fan-out is
+/// wrapped in a `suggest_layout_all` span.
 pub fn suggest_layout_all(
-    requests: &[LayoutRequest<'_>],
-    params: ToolParams,
-    jobs: usize,
-) -> Vec<Result<Suggestion, LayoutError>> {
-    suggest_layout_all_obs(requests, params, jobs, &slopt_obs::Obs::disabled())
-}
-
-/// [`suggest_layout_all`] with instrumentation: each record's suggestion
-/// runs under its own spans (workers get distinct trace thread ids), and
-/// the whole fan-out is wrapped in a `suggest_layout_all` span.
-pub fn suggest_layout_all_obs(
     requests: &[LayoutRequest<'_>],
     params: ToolParams,
     jobs: usize,
@@ -163,7 +137,7 @@ pub fn suggest_layout_all_obs(
 ) -> Vec<Result<Suggestion, LayoutError>> {
     let _span = obs.span("suggest_layout_all");
     crate::par::par_map(jobs, requests, |_, req| {
-        suggest_layout_obs(req.record, req.affinity, req.loss, params, obs)
+        suggest_layout(req.record, req.affinity, req.loss, params, obs)
     })
 }
 
@@ -180,7 +154,7 @@ pub fn suggest_constrained(
     loss: Option<&CycleLossMap>,
     params: ToolParams,
 ) -> Result<StructLayout, LayoutError> {
-    let flg = Flg::build(affinity, loss, params.flg);
+    let flg = Flg::build(affinity, loss, params.flg, &slopt_obs::Obs::disabled());
     best_effort_layout(
         record,
         original,
@@ -197,6 +171,7 @@ mod tests {
     use slopt_ir::cfg::InstanceSlot;
     use slopt_ir::interp::profile_invocations;
     use slopt_ir::types::{FieldIdx, FieldType, PrimType, RecordType, TypeRegistry};
+    use slopt_obs::Obs;
 
     /// Affinity-only pipeline: loop-affine fields co-locate.
     #[test]
@@ -231,7 +206,14 @@ mod tests {
         let affinity = slopt_ir::affinity::AffinityGraph::analyze(&prog, &profile, s);
 
         let rec = prog.registry().record(s);
-        let suggestion = suggest_layout(rec, &affinity, None, ToolParams::default()).unwrap();
+        let suggestion = suggest_layout(
+            rec,
+            &affinity,
+            None,
+            ToolParams::default(),
+            &Obs::disabled(),
+        )
+        .unwrap();
         // hot1 and hot2 must share a cache line despite the 160-byte blob
         // declared between them.
         assert!(suggestion.layout.share_line(FieldIdx(0), FieldIdx(2)));
@@ -284,8 +266,8 @@ mod tests {
                 loss: None,
             })
             .collect();
-        let serial = suggest_layout_all(&requests, ToolParams::default(), 1);
-        let parallel = suggest_layout_all(&requests, ToolParams::default(), 4);
+        let serial = suggest_layout_all(&requests, ToolParams::default(), 1, &Obs::disabled());
+        let parallel = suggest_layout_all(&requests, ToolParams::default(), 4, &Obs::disabled());
         assert_eq!(serial.len(), parallel.len());
         for (a, b) in serial.iter().zip(&parallel) {
             let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());

@@ -12,12 +12,15 @@
 //!   singleton, provided the destination keeps its cache-line count;
 //! * **termination**: no improving move, or the move budget is exhausted.
 //!
-//! The result provably never scores below the greedy input, and empty
-//! clusters are dropped.
+//! The search itself is [`polish`] — the one steepest-ascent driver,
+//! shared with the annealing portfolio of `slopt-search` — run over the
+//! [`DeltaObjective`] evaluator. The result provably never scores below
+//! the greedy input, and empty clusters are dropped.
 
 use crate::cluster::Clustering;
-use crate::flg::Flg;
-use slopt_ir::types::{FieldIdx, RecordType};
+use crate::delta::{polish, DeltaObjective};
+use crate::flg::{Flg, FlgView};
+use slopt_ir::types::RecordType;
 
 /// Refinement limits.
 #[derive(Copy, Clone, Debug)]
@@ -33,8 +36,10 @@ impl Default for RefineParams {
     }
 }
 
-/// Total intra-cluster edge weight — the clustering objective.
-pub fn clustering_score(flg: &Flg, clustering: &Clustering) -> f64 {
+/// Total intra-cluster edge weight — the clustering objective — over any
+/// FLG view. A plain full recompute, kept independent of the delta
+/// evaluator so it can serve as that evaluator's oracle.
+pub fn clustering_score<V: FlgView>(flg: &V, clustering: &Clustering) -> f64 {
     clustering
         .clusters()
         .iter()
@@ -50,27 +55,15 @@ pub fn clustering_score(flg: &Flg, clustering: &Clustering) -> f64 {
         .sum()
 }
 
-fn cluster_bytes(record: &RecordType, members: &[FieldIdx]) -> u64 {
-    let mut cursor = 0u64;
-    for &f in members {
-        let def = record.field(f);
-        let a = def.align();
-        cursor = (cursor + a - 1) & !(a - 1);
-        cursor += def.size();
-    }
-    cursor
-}
-
-fn cluster_lines(record: &RecordType, members: &[FieldIdx], line_size: u64) -> u64 {
-    cluster_bytes(record, members).div_ceil(line_size).max(1)
-}
-
-/// Improves a clustering by steepest-ascent single-field moves. Returns
-/// the refined clustering and its score (`>=` the input's score).
+/// Improves a clustering by steepest-ascent single-field moves
+/// ([`polish`] over a [`DeltaObjective`]). Returns the refined clustering
+/// and its [`clustering_score`] (`>=` the input's score).
 ///
 /// # Panics
 ///
-/// Panics if `line_size` is not a power of two.
+/// Panics if `line_size` is not a power of two, if the FLG and record
+/// field counts differ, or if `clustering` does not cover every field
+/// exactly once.
 pub fn refine(
     flg: &Flg,
     record: &RecordType,
@@ -78,61 +71,9 @@ pub fn refine(
     line_size: u64,
     params: RefineParams,
 ) -> (Clustering, f64) {
-    assert!(
-        line_size.is_power_of_two(),
-        "line size must be a power of two"
-    );
-    let mut clusters: Vec<Vec<FieldIdx>> = clustering.clusters().to_vec();
-    let mut moves = 0usize;
-
-    loop {
-        if moves >= params.max_moves {
-            break;
-        }
-        // Find the single best move across all (field, destination) pairs.
-        let mut best: Option<(usize, usize, usize, f64)> = None; // (src, idx, dst, gain)
-        for (src, cluster) in clusters.iter().enumerate() {
-            for (idx, &f) in cluster.iter().enumerate() {
-                let others: Vec<FieldIdx> = cluster.iter().copied().filter(|&g| g != f).collect();
-                let out_gain = -flg.gain_into(f, &others); // lost by leaving
-                for dst in 0..=clusters.len() {
-                    if dst == src {
-                        continue;
-                    }
-                    let in_gain = if dst == clusters.len() {
-                        0.0 // fresh singleton
-                    } else {
-                        // Capacity: moving f into dst must not grow it.
-                        let mut extended = clusters[dst].clone();
-                        extended.push(f);
-                        if cluster_lines(record, &extended, line_size)
-                            > cluster_lines(record, &clusters[dst], line_size)
-                        {
-                            continue;
-                        }
-                        flg.gain_into(f, &clusters[dst])
-                    };
-                    let gain = in_gain + out_gain;
-                    if gain > 1e-9 && best.is_none_or(|b| gain > b.3) {
-                        best = Some((src, idx, dst, gain));
-                    }
-                }
-            }
-        }
-        let Some((src, idx, dst, _)) = best else {
-            break;
-        };
-        let f = clusters[src].remove(idx);
-        if dst == clusters.len() {
-            clusters.push(vec![f]);
-        } else {
-            clusters[dst].push(f);
-        }
-        clusters.retain(|c| !c.is_empty());
-        moves += 1;
-    }
-
-    let refined = Clustering::new(clusters);
+    let mut delta = DeltaObjective::new(flg, record, clustering, line_size);
+    polish(&mut delta, params.max_moves);
+    let refined = delta.into_clustering();
     let score = clustering_score(flg, &refined);
     (refined, score)
 }
@@ -141,7 +82,8 @@ pub fn refine(
 mod tests {
     use super::*;
     use crate::cluster::cluster;
-    use slopt_ir::types::{FieldType, PrimType, RecordId};
+    use slopt_ir::types::{FieldIdx, FieldType, PrimType, RecordId};
+    use slopt_obs::Obs;
 
     fn record_u64(n: usize) -> RecordType {
         RecordType::new(
@@ -173,7 +115,7 @@ mod tests {
             ],
         );
         let rec = record_u64(5);
-        let greedy = cluster(&flg, &rec, 128);
+        let greedy = cluster(&flg, &rec, 128, &Obs::disabled());
         // Greedy: f0 seeds, takes f1 (+50) and f2 (+10); then {f3, f4}.
         assert_eq!(greedy.cluster_of(FieldIdx(2)), Some(0));
         let g_score = clustering_score(&flg, &greedy);
@@ -201,7 +143,7 @@ mod tests {
             ],
         );
         let rec = record_u64(4);
-        let greedy = cluster(&flg, &rec, 128);
+        let greedy = cluster(&flg, &rec, 128, &Obs::disabled());
         let (once, s1) = refine(&flg, &rec, &greedy, 128, RefineParams::default());
         let (twice, s2) = refine(&flg, &rec, &once, 128, RefineParams::default());
         assert_eq!(s1, s2);
@@ -221,7 +163,7 @@ mod tests {
         }
         let flg = Flg::from_parts(RecordId(0), vec![10; n], edges);
         let rec = record_u64(n);
-        let greedy = cluster(&flg, &rec, 128);
+        let greedy = cluster(&flg, &rec, 128, &Obs::disabled());
         let (refined, _) = refine(&flg, &rec, &greedy, 128, RefineParams::default());
         for c in refined.clusters() {
             assert!(c.len() <= 16, "cluster exceeds a cache line: {}", c.len());
@@ -241,7 +183,7 @@ mod tests {
             ],
         );
         let rec = record_u64(4);
-        let greedy = cluster(&flg, &rec, 128);
+        let greedy = cluster(&flg, &rec, 128, &Obs::disabled());
         let (_, unlimited) = refine(&flg, &rec, &greedy, 128, RefineParams::default());
         let (capped, capped_score) =
             refine(&flg, &rec, &greedy, 128, RefineParams { max_moves: 0 });

@@ -162,6 +162,7 @@ mod tests {
     use super::*;
     use crate::cluster::cluster;
     use slopt_ir::types::{FieldType, PrimType, RecordId};
+    use slopt_obs::Obs;
 
     fn setup() -> (RecordType, Flg, Clustering) {
         let rec = RecordType::new(
@@ -180,7 +181,7 @@ mod tests {
                 (FieldIdx(0), FieldIdx(2), -70.0),
             ],
         );
-        let c = cluster(&flg, &rec, 128);
+        let c = cluster(&flg, &rec, 128, &Obs::disabled());
         (rec, flg, c)
     }
 
@@ -229,7 +230,7 @@ mod tests {
                 (FieldIdx(0), FieldIdx(2), -50.0),
             ],
         );
-        let c = cluster(&flg, &rec, 128);
+        let c = cluster(&flg, &rec, 128, &Obs::disabled());
         let r = LayoutReport::build(&rec, &flg, &c);
         assert_eq!(r.top_negative[0].weight, -50.0);
         assert_eq!(r.top_negative[1].weight, -5.0);

@@ -15,6 +15,7 @@ use crate::cluster::{cluster, Clustering};
 use crate::flg::Flg;
 use slopt_ir::layout::{LayoutError, StructLayout};
 use slopt_ir::types::{FieldIdx, RecordType};
+use slopt_obs::Obs;
 
 /// Parameters of the importance filter.
 #[derive(Copy, Clone, Debug)]
@@ -226,7 +227,7 @@ pub fn best_effort_layout(
     line_size: u64,
 ) -> Result<StructLayout, LayoutError> {
     let sub = important_subgraph(flg, params);
-    let clustering = cluster(&sub, record, line_size);
+    let clustering = cluster(&sub, record, line_size, &Obs::disabled());
     let constraints = Constraints::from_clustering(&sub, &clustering);
     constrained_layout(record, original, &constraints, line_size)
 }
@@ -288,7 +289,7 @@ mod tests {
             },
         );
         let rec = record_u64(6);
-        let clustering = cluster(&sub, &rec, 128);
+        let clustering = cluster(&sub, &rec, 128, &Obs::disabled());
         let constraints = Constraints::from_clustering(&sub, &clustering);
         let constrained: Vec<FieldIdx> = constraints.fields().collect();
         // f5 has no important edge; it must stay unconstrained.

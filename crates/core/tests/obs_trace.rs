@@ -10,7 +10,7 @@
 //! summary.
 
 use proptest::prelude::*;
-use slopt_core::{suggest_layout_all_obs, LayoutRequest, ToolParams};
+use slopt_core::{suggest_layout_all, LayoutRequest, ToolParams};
 use slopt_ir::affinity::AffinityGraph;
 use slopt_ir::builder::{FunctionBuilder, ProgramBuilder};
 use slopt_ir::cfg::InstanceSlot;
@@ -96,7 +96,7 @@ proptest! {
         let sink = MemorySink::new();
         let events = sink.events();
         let obs = Obs::with_sink(Box::new(sink));
-        let results = suggest_layout_all_obs(&requests, ToolParams::default(), jobs, &obs);
+        let results = suggest_layout_all(&requests, ToolParams::default(), jobs, &obs);
         prop_assert!(results.iter().all(Result::is_ok));
 
         let events = events.lock().unwrap();

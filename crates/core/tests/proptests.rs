@@ -3,11 +3,13 @@
 
 use proptest::prelude::*;
 use slopt_core::{
-    best_effort_layout, canonical_cluster_sum, cluster, constrained_layout, important_subgraph,
-    Constraints, DeltaObjective, Flg, Move, SubgraphParams,
+    best_effort_layout, canonical_cluster_sum, cluster, clustering_score, constrained_layout,
+    important_subgraph, refine, Clustering, Constraints, DeltaObjective, Flg, Move, RefineParams,
+    SubgraphParams,
 };
 use slopt_ir::layout::StructLayout;
 use slopt_ir::types::{FieldIdx, FieldType, PrimType, RecordId, RecordType};
+use slopt_obs::Obs;
 
 fn record_u64(n: usize) -> RecordType {
     RecordType::new(
@@ -44,7 +46,7 @@ proptest! {
     fn clustering_greedy_properties(flg in arb_flg(20)) {
         let n = flg.field_count();
         let rec = record_u64(n);
-        let clustering = cluster(&flg, &rec, 128);
+        let clustering = cluster(&flg, &rec, 128, &Obs::disabled());
         prop_assert_eq!(clustering.field_count(), n);
         let hottest = flg.fields_by_hotness()[0];
         prop_assert_eq!(clustering.cluster_of(hottest), Some(0));
@@ -111,7 +113,7 @@ proptest! {
         // Recompute the constraints independently and check separation
         // (u64 fields: 16 per line, so any cluster <= 16 fields fits).
         let sub = important_subgraph(&flg, SubgraphParams::default());
-        let clustering = cluster(&sub, &rec, 128);
+        let clustering = cluster(&sub, &rec, 128, &Obs::disabled());
         let constraints = Constraints::from_clustering(&sub, &clustering);
         if constraints.groups.iter().all(|g| g.len() <= 16) {
             for (i, ga) in constraints.groups.iter().enumerate() {
@@ -159,7 +161,7 @@ proptest! {
                 .map(|i| (format!("f{i}"), palette[tys[i]].clone()))
                 .collect::<Vec<_>>(),
         );
-        let start = cluster(&flg, &rec, line);
+        let start = cluster(&flg, &rec, line, &Obs::disabled());
         let mut d = DeltaObjective::new(&flg, &rec, &start, line);
         let full = |d: &DeltaObjective<'_, Flg>| -> f64 {
             d.clusters().iter().map(|c| canonical_cluster_sum(&flg, c)).sum()
@@ -203,6 +205,67 @@ proptest! {
         // The final state is still a partition of the field set.
         let clustering = d.into_clustering();
         prop_assert_eq!(clustering.field_count(), n);
+    }
+
+    /// `refine` (§7 steepest ascent) from an arbitrary partition, on
+    /// records with mixed field sizes: the result is a partition of the
+    /// fields, its reported score is the full recompute's bit for bit and
+    /// never below the start's, no improving single-field move is left
+    /// unless the move budget ran out, and a zero budget is the identity.
+    #[test]
+    fn refine_reaches_a_single_move_optimum(
+        flg in arb_flg(14),
+        tys in prop::collection::vec(0usize..4, 14),
+        assign in prop::collection::vec(0usize..5, 14),
+        budget in 0usize..6,
+    ) {
+        // Budgets 0..=3 often bind; 4 and 5 stand for the default, which
+        // never does at this size.
+        let max_moves = if budget < 4 { budget } else { RefineParams::default().max_moves };
+        let n = flg.field_count();
+        let palette = [
+            FieldType::Prim(PrimType::U8),
+            FieldType::Prim(PrimType::U32),
+            FieldType::Prim(PrimType::U64),
+            FieldType::Array { elem: PrimType::U8, len: 40 },
+        ];
+        let rec = RecordType::new(
+            "R",
+            (0..n)
+                .map(|i| (format!("f{i}"), palette[tys[i]].clone()))
+                .collect::<Vec<_>>(),
+        );
+        let mut clusters: Vec<Vec<FieldIdx>> = vec![Vec::new(); 5];
+        for f in 0..n {
+            clusters[assign[f]].push(FieldIdx(f as u32));
+        }
+        clusters.retain(|c| !c.is_empty());
+        let start = Clustering::new(clusters);
+        let line = 64;
+
+        let (refined, score) = refine(&flg, &rec, &start, line, RefineParams { max_moves });
+        let mut fields: Vec<FieldIdx> = refined.clusters().concat();
+        fields.sort();
+        prop_assert_eq!(fields, (0..n as u32).map(FieldIdx).collect::<Vec<_>>());
+        prop_assert_eq!(score.to_bits(), clustering_score(&flg, &refined).to_bits());
+        prop_assert!(score >= clustering_score(&flg, &start));
+
+        let d = DeltaObjective::new(&flg, &rec, &refined, line);
+        let improving = (0..n as u32).map(FieldIdx).any(|field| {
+            (0..=d.cluster_count()).any(|dst| {
+                d.score_move(Move::MoveField { field, dst }).is_some_and(|g| g > 1e-9)
+            })
+        });
+        if improving {
+            // Only a binding budget may leave an improving move: one more
+            // move must then change the result.
+            prop_assert!(max_moves < RefineParams::default().max_moves);
+            let more = RefineParams { max_moves: max_moves + 1 };
+            prop_assert!(refine(&flg, &rec, &start, line, more).1 > score);
+        }
+        if max_moves == 0 {
+            prop_assert_eq!(&refined, &start);
+        }
     }
 
     /// With no edges at all, the constrained edit is the identity.

@@ -19,7 +19,7 @@
 //!   sorted, run-length-encoded and linearly merge-added into one sorted
 //!   run (an LSM-style compaction — no hashing on the ingest path, and
 //!   memory proportional to *distinct* cells, not trace length).
-//!   `finish_jobs` hands the sorted cells to the batch path's shared
+//!   `finish` hands the sorted cells to the batch path's shared
 //!   final fold (`cells_finish`), which fans per-interval kernels over
 //!   workers and merges their triangular accumulators **pairwise** via
 //!   `par_map` — bit-identical to [`crate::concurrency_map`] for every
@@ -28,7 +28,7 @@
 //!   **sliding window** of ring-buffered intervals with exact eviction
 //!   of expired intervals: the decaying live state of the `slopt-serve`
 //!   daemon (see DESIGN.md §17).
-//! * [`shard_concurrency_obs`] — the end-to-end fold over a directory:
+//! * [`shard_concurrency`] — the end-to-end fold over a directory:
 //!   malformed, truncated or missing shards are *skipped*, counted in
 //!   [`ShardIngestStats`] and as `warn.shard.*` counters, never a panic.
 //!
@@ -77,7 +77,7 @@ const HEADER_LEN: usize = 32;
 const RECORD_LEN: usize = 24;
 /// Shard file extension.
 pub const SHARD_EXT: &str = "slshard";
-/// Below this many total shard bytes, [`shard_concurrency_obs`] ingests
+/// Below this many total shard bytes, [`shard_concurrency`] ingests
 /// serially: record decoding is cheaper than worker fan-out plus sorted
 /// run merges at that size (the quick `cc_stream` bench, ~1 MB of
 /// shards, paid a 2× wall-clock penalty at `jobs = 4`). The clamp never
@@ -342,7 +342,7 @@ impl ShardReader {
     }
 
     /// The shard paths in index order, without consuming the iterator.
-    /// The parallel directory fold ([`shard_concurrency_obs`]) chunks
+    /// The parallel directory fold ([`shard_concurrency`]) chunks
     /// this list over workers instead of iterating serially.
     pub fn paths(&self) -> Vec<PathBuf> {
         self.found.iter().map(|(_, p)| p.clone()).collect()
@@ -408,6 +408,57 @@ impl ShardIngestStats {
 /// `O(n log n)` in ingested samples.
 const PENDING_COMPACT_MIN: usize = 64 * 1024;
 
+/// The LSM-style cell store behind both [`StreamingConcurrency`] and
+/// each interval of [`WindowedConcurrency`]: raw packed cell keys append
+/// to a pending buffer, which compaction sorts, run-length-encodes and
+/// linearly merge-adds into one sorted run of distinct cells with exact
+/// `u64` counts — no hashing on the ingest path, and memory proportional
+/// to *distinct* cells, not trace length.
+#[derive(Clone, Debug, Default)]
+struct SortedRun {
+    /// Sorted distinct packed cells (`pack_cell_key` order =
+    /// `(interval, cpu, line)` order) with exact sample counts.
+    sorted: Vec<(u128, u64)>,
+    /// Raw packed keys not yet folded into `sorted`.
+    pending: Vec<u128>,
+}
+
+impl SortedRun {
+    /// Compacts once the pending buffer reaches [`PENDING_COMPACT_MIN`]
+    /// and the sorted run's length.
+    fn maybe_compact(&mut self) {
+        if self.pending.len() >= PENDING_COMPACT_MIN.max(self.sorted.len()) {
+            self.compacted();
+        }
+    }
+
+    /// Folds every pending key into the sorted run and returns it.
+    fn compacted(&mut self) -> &[(u128, u64)] {
+        if !self.pending.is_empty() {
+            self.pending.sort_unstable();
+            let mut run: Vec<(u128, u64)> = Vec::new();
+            for &key in &self.pending {
+                match run.last_mut() {
+                    Some(last) if last.0 == key => last.1 += 1,
+                    _ => run.push((key, 1)),
+                }
+            }
+            self.pending.clear();
+            let a = std::mem::take(&mut self.sorted);
+            self.sorted = merge_sorted_runs(a, run);
+        }
+        &self.sorted
+    }
+
+    /// Merge-adds `other` into `self` (both compacted first).
+    fn merge(&mut self, mut other: SortedRun) {
+        self.compacted();
+        other.compacted();
+        let a = std::mem::take(&mut self.sorted);
+        self.sorted = merge_sorted_runs(a, other.sorted);
+    }
+}
+
 /// Bounded-memory Code Concurrency: folds sample batches into one
 /// **sorted run** of packed `(interval, cpu, line) -> count` cells and
 /// hands it to the batch path's shared final fold at
@@ -416,12 +467,13 @@ const PENDING_COMPACT_MIN: usize = 64 * 1024;
 /// Ingestion appends packed `u128` keys to a pending buffer; when the
 /// buffer grows past the sorted run's length it is sorted,
 /// run-length-encoded and linearly merge-added into the run — an
-/// LSM-style compaction with no hashing and sequential memory traffic.
-/// Cell counts are exact `u64` sums, so the final run is independent of
-/// how the trace was partitioned into batches (any shard size, any
-/// ingestion order), and two folders over disjoint parts of a trace can
-/// be [`merge`](StreamingConcurrency::merge)d without changing the
-/// result — the basis of the parallel directory fold.
+/// LSM-style compaction with no hashing and sequential memory traffic,
+/// shared with [`WindowedConcurrency`]. Cell counts are exact `u64`
+/// sums, so the final run is independent of how the trace was
+/// partitioned into batches (any shard size, any ingestion order), and
+/// two folders over disjoint parts of a trace can be
+/// [`merge`](StreamingConcurrency::merge)d without changing the result —
+/// the basis of the parallel directory fold.
 ///
 /// Peak memory is `O(distinct (interval, cpu, line) cells)` — for the
 /// paper's parameters (~12 samples per CPU per interval over a few
@@ -446,17 +498,13 @@ const PENDING_COMPACT_MIN: usize = 64 * 1024;
 /// let mut stream = StreamingConcurrency::new(ConcurrencyConfig { interval: 100 });
 /// stream.ingest(&[mk(0, 10, 1)]); // cpu 0 in line 1 ...
 /// stream.ingest(&[mk(1, 20, 2)]); // ... cpu 1 in line 2, same interval
-/// let map = stream.finish();
+/// let map = stream.finish(1, &slopt_obs::Obs::disabled());
 /// assert_eq!(map.get(SourceLine(1), SourceLine(2)), 1);
 /// ```
 #[derive(Clone, Debug)]
 pub struct StreamingConcurrency {
     cfg: ConcurrencyConfig,
-    /// Sorted distinct packed cells (`pack_cell_key` order =
-    /// `(interval, cpu, line)` order) with exact sample counts.
-    sorted: Vec<(u128, u64)>,
-    /// Raw packed keys not yet folded into `sorted`.
-    pending: Vec<u128>,
+    run: SortedRun,
     samples: u64,
 }
 
@@ -470,8 +518,7 @@ impl StreamingConcurrency {
         assert!(cfg.interval > 0, "interval must be non-zero");
         StreamingConcurrency {
             cfg,
-            sorted: Vec::new(),
-            pending: Vec::new(),
+            run: SortedRun::default(),
             samples: 0,
         }
     }
@@ -480,15 +527,13 @@ impl StreamingConcurrency {
     /// increments commute, so any partition of the trace into batches —
     /// any shard size, any ingestion order — yields the same cell store.
     pub fn ingest(&mut self, samples: &[Sample]) {
-        self.pending.extend(
+        self.run.pending.extend(
             samples
                 .iter()
                 .map(|s| pack_cell_key(s.time / self.cfg.interval, s.cpu.0, s.line.0)),
         );
         self.samples += samples.len() as u64;
-        if self.pending.len() >= PENDING_COMPACT_MIN.max(self.sorted.len()) {
-            self.compact();
-        }
+        self.run.maybe_compact();
     }
 
     /// Reads and folds one shard file.
@@ -503,13 +548,6 @@ impl StreamingConcurrency {
         self.samples
     }
 
-    /// Number of occupied `(interval, cpu, line)` cells — the streaming
-    /// path's working-set measure. Compacts pending keys first.
-    pub fn cells(&mut self) -> usize {
-        self.compact();
-        self.sorted.len()
-    }
-
     /// Folds `other` (a folder over a disjoint or overlapping part of
     /// the trace, same interval config) into `self`: one linear
     /// merge-add of the two sorted runs. Exact and commutative, so the
@@ -520,40 +558,13 @@ impl StreamingConcurrency {
     ///
     /// Panics if the two folders were built with different interval
     /// lengths — their interval indices would not be comparable.
-    pub fn merge(&mut self, mut other: StreamingConcurrency) {
+    pub fn merge(&mut self, other: StreamingConcurrency) {
         assert_eq!(
             self.cfg.interval, other.cfg.interval,
             "merge requires identical interval config"
         );
-        self.compact();
-        other.compact();
-        let a = std::mem::take(&mut self.sorted);
-        self.sorted = merge_sorted_runs(a, other.sorted);
+        self.run.merge(other.run);
         self.samples += other.samples;
-    }
-
-    /// Sorts + run-length-encodes the pending keys and merge-adds them
-    /// into the sorted run.
-    fn compact(&mut self) {
-        if self.pending.is_empty() {
-            return;
-        }
-        self.pending.sort_unstable();
-        let mut run: Vec<(u128, u64)> = Vec::new();
-        for &key in &self.pending {
-            match run.last_mut() {
-                Some(last) if last.0 == key => last.1 += 1,
-                _ => run.push((key, 1)),
-            }
-        }
-        self.pending.clear();
-        let a = std::mem::take(&mut self.sorted);
-        self.sorted = merge_sorted_runs(a, run);
-    }
-
-    /// Serial [`finish_jobs`](StreamingConcurrency::finish_jobs).
-    pub fn finish(self) -> ConcurrencyMap {
-        self.finish_jobs(1)
     }
 
     /// Computes the final [`ConcurrencyMap`], fanning the per-interval
@@ -566,27 +577,24 @@ impl StreamingConcurrency {
     /// reduces the accumulators pairwise by exact `u64` addition
     /// (commutative and associative, hence independent of grouping and
     /// merge order).
-    pub fn finish_jobs(self, jobs: usize) -> ConcurrencyMap {
-        self.finish_jobs_obs(jobs, &Obs::disabled())
-    }
-
-    /// [`finish_jobs`](StreamingConcurrency::finish_jobs) with
-    /// instrumentation: a `cc_build` span plus the batch path's `cc.*`
-    /// counters and streaming-specific `cc.stream_*` counters.
-    pub fn finish_jobs_obs(mut self, jobs: usize, obs: &Obs) -> ConcurrencyMap {
+    ///
+    /// Instrumented through `obs`: a `cc_build` span plus the batch
+    /// path's `cc.*` counters and streaming-specific `cc.stream_*`
+    /// counters.
+    pub fn finish(mut self, jobs: usize, obs: &Obs) -> ConcurrencyMap {
         let _span = obs.span("cc_build");
-        self.compact();
-        if self.sorted.is_empty() {
+        let cells = self.run.compacted();
+        if cells.is_empty() {
             return ConcurrencyMap::empty();
         }
-        let out = cells_finish(&self.sorted, jobs);
+        let out = cells_finish(cells, jobs);
         if obs.enabled() {
             obs.counter("cc.samples_bucketed", self.samples);
             obs.counter("cc.lines", out.n_lines as u64);
             obs.counter("cc.cpus", out.n_cpus as u64);
             obs.counter("cc.intervals", out.n_intervals as u64);
             obs.counter("cc.pairs", out.map.len() as u64);
-            obs.counter("cc.stream_cells", self.sorted.len() as u64);
+            obs.counter("cc.stream_cells", cells.len() as u64);
             obs.counter("cc.stream_groups", out.groups as u64);
             obs.gauge(
                 "cc.dense_accumulator",
@@ -637,40 +645,10 @@ fn merge_sorted_runs(a: Vec<(u128, u64)>, b: Vec<(u128, u64)>) -> Vec<(u128, u64
 struct IntervalFold {
     /// The interval index this slot currently holds.
     interval: u64,
-    /// Sorted distinct packed cells of this interval.
-    sorted: Vec<(u128, u64)>,
-    /// Packed keys not yet folded into `sorted`.
-    pending: Vec<u128>,
+    /// This interval's cells.
+    run: SortedRun,
     /// Samples folded into this interval.
     samples: u64,
-}
-
-impl IntervalFold {
-    fn new(interval: u64) -> IntervalFold {
-        IntervalFold {
-            interval,
-            sorted: Vec::new(),
-            pending: Vec::new(),
-            samples: 0,
-        }
-    }
-
-    fn compact(&mut self) {
-        if self.pending.is_empty() {
-            return;
-        }
-        self.pending.sort_unstable();
-        let mut run: Vec<(u128, u64)> = Vec::new();
-        for &key in &self.pending {
-            match run.last_mut() {
-                Some(last) if last.0 == key => last.1 += 1,
-                _ => run.push((key, 1)),
-            }
-        }
-        self.pending.clear();
-        let a = std::mem::take(&mut self.sorted);
-        self.sorted = merge_sorted_runs(a, run);
-    }
 }
 
 /// [`StreamingConcurrency`] generalized to a **sliding window of
@@ -813,14 +791,16 @@ impl WindowedConcurrency {
                 None => self.newest = Some(idx),
             }
             let slot = &mut self.ring[(idx % self.window) as usize];
-            let fold = slot.get_or_insert_with(|| IntervalFold::new(idx));
+            let fold = slot.get_or_insert_with(|| IntervalFold {
+                interval: idx,
+                run: SortedRun::default(),
+                samples: 0,
+            });
             debug_assert_eq!(fold.interval, idx, "slot must be evicted before reuse");
-            fold.pending.push(pack_cell_key(idx, s.cpu.0, s.line.0));
+            fold.run.pending.push(pack_cell_key(idx, s.cpu.0, s.line.0));
             fold.samples += 1;
             self.accepted += 1;
-            if fold.pending.len() >= PENDING_COMPACT_MIN.max(fold.sorted.len()) {
-                fold.compact();
-            }
+            fold.run.maybe_compact();
         }
         self.late_dropped - before
     }
@@ -850,8 +830,7 @@ impl WindowedConcurrency {
         slots.sort_by_key(|f| f.interval);
         let mut out = Vec::new();
         for fold in slots {
-            fold.compact();
-            out.extend_from_slice(&fold.sorted);
+            out.extend_from_slice(fold.run.compacted());
         }
         out
     }
@@ -871,20 +850,13 @@ impl WindowedConcurrency {
 }
 
 /// Folds every readable shard under `dir` into a [`ConcurrencyMap`],
-/// skipping malformed shards gracefully. Parallel (`jobs`) ingestion
-/// and finish. Fails only if the directory cannot be listed.
-pub fn shard_concurrency(
-    dir: &Path,
-    cfg: ConcurrencyConfig,
-    jobs: usize,
-) -> io::Result<(ConcurrencyMap, ShardIngestStats)> {
-    shard_concurrency_obs(dir, cfg, jobs, &Obs::disabled())
-}
-
-/// [`shard_concurrency`] with instrumentation: wraps ingestion in a
-/// `shard_ingest` span, emits `shard.{ok,samples,missing}` counters, and
-/// records each skipped shard as a `warn.shard.skipped.<reason>` warning
-/// so skip counts surface in `--stats` output.
+/// skipping malformed shards gracefully. Fails only if the directory
+/// cannot be listed.
+///
+/// Instrumented through `obs`: ingestion runs under a `shard_ingest`
+/// span, emits `shard.{ok,samples,missing}` counters, and records each
+/// skipped shard as a `warn.shard.skipped.<reason>` warning so skip
+/// counts surface in `--stats` output.
 ///
 /// Ingestion fans the shard list out as up to `jobs` contiguous chunks,
 /// each folded by a private [`StreamingConcurrency`]; the partial
@@ -897,7 +869,7 @@ pub fn shard_concurrency(
 /// serially: decoding a megabyte of records is cheaper than spawning
 /// workers and merging their sorted runs, and the chunking-independence
 /// argument above means the clamp cannot change any output.
-pub fn shard_concurrency_obs(
+pub fn shard_concurrency(
     dir: &Path,
     cfg: ConcurrencyConfig,
     jobs: usize,
@@ -962,7 +934,7 @@ pub fn shard_concurrency_obs(
             }
         }
     }
-    Ok((stream.finish_jobs_obs(jobs, obs), stats))
+    Ok((stream.finish(jobs, obs), stats))
 }
 
 /// An [`Observer`] that spools samples to shards as they are collected,
@@ -1183,7 +1155,7 @@ mod tests {
                 for chunk in samples.chunks(shard_size) {
                     stream.ingest(chunk);
                 }
-                let got = stream.finish_jobs(jobs);
+                let got = stream.finish(jobs, &Obs::disabled());
                 assert_eq!(
                     got, batch,
                     "shard_size={shard_size} jobs={jobs} must match batch"
@@ -1292,13 +1264,13 @@ mod tests {
         let mut win = WindowedConcurrency::new(cfg, 16);
         win.ingest(&samples);
         assert_eq!(win.late_dropped() + win.evicted_samples(), 0);
-        assert_eq!(win.concurrency_jobs(2), stream.finish_jobs(2));
+        assert_eq!(win.concurrency_jobs(2), stream.finish(2, &Obs::disabled()));
     }
 
     #[test]
     fn streaming_empty_is_empty() {
         let stream = StreamingConcurrency::new(ConcurrencyConfig { interval: 100 });
-        assert_eq!(stream.finish(), ConcurrencyMap::empty());
+        assert_eq!(stream.finish(1, &Obs::disabled()), ConcurrencyMap::empty());
     }
 
     #[test]
@@ -1312,7 +1284,7 @@ mod tests {
         fs::write(&victim, &bytes[..20]).unwrap();
 
         let cfg = ConcurrencyConfig { interval: 100 };
-        let (map, stats) = shard_concurrency(&dir, cfg, 2).unwrap();
+        let (map, stats) = shard_concurrency(&dir, cfg, 2, &Obs::disabled()).unwrap();
         assert_eq!(stats.shards_ok, 2);
         assert_eq!(stats.shards_skipped, 1);
         assert_eq!(stats.skipped_by_reason.get("truncated"), Some(&1));
@@ -1352,7 +1324,7 @@ mod tests {
         assert_eq!(dropped, 0);
 
         let cc_cfg = ConcurrencyConfig { interval: 500 };
-        let (streamed, stats) = shard_concurrency(&dir, cc_cfg, 3).unwrap();
+        let (streamed, stats) = shard_concurrency(&dir, cc_cfg, 3, &Obs::disabled()).unwrap();
         assert_eq!(stats.shards_skipped, 0);
         assert_eq!(streamed, concurrency_map(batch.samples(), &cc_cfg));
         fs::remove_dir_all(&dir).unwrap();

@@ -4,6 +4,7 @@
 use proptest::prelude::*;
 use slopt_ir::cfg::{BlockId, FuncId};
 use slopt_ir::source::SourceLine;
+use slopt_obs::Obs;
 use slopt_sample::{
     concurrency_map, concurrency_map_naive, concurrency_map_reference, read_shard,
     shard_concurrency, write_shards, ConcurrencyConfig, Sample, Sampler, SamplerConfig,
@@ -159,7 +160,7 @@ proptest! {
         std::fs::create_dir_all(&dir).unwrap();
         let written = write_shards(&dir, &samples, shard_size).unwrap();
         prop_assert_eq!(written.len(), samples.len().div_ceil(shard_size));
-        let (streamed, stats) = shard_concurrency(&dir, cfg, jobs).unwrap();
+        let (streamed, stats) = shard_concurrency(&dir, cfg, jobs, &Obs::disabled()).unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
         prop_assert_eq!(stats.samples as usize, samples.len());
         prop_assert_eq!(stats.shards_skipped, 0);
@@ -187,7 +188,7 @@ proptest! {
             stream.ingest(std::slice::from_ref(s));
         }
         prop_assert_eq!(stream.samples() as usize, samples.len());
-        let streamed = stream.finish_jobs(jobs);
+        let streamed = stream.finish(jobs, &Obs::disabled());
         let batch = concurrency_map(&samples, &cfg);
         prop_assert_eq!(&streamed, &batch);
     }
@@ -263,11 +264,11 @@ proptest! {
         let cfg = ConcurrencyConfig { interval: 500 };
         let mut serial = StreamingConcurrency::new(cfg);
         serial.ingest(&samples);
-        let serial_map = serial.finish_jobs(1);
+        let serial_map = serial.finish(1, &Obs::disabled());
         for jobs in [2usize, 4, 7] {
             let mut stream = StreamingConcurrency::new(cfg);
             stream.ingest(&samples);
-            let got = stream.finish_jobs(jobs);
+            let got = stream.finish(jobs, &Obs::disabled());
             prop_assert_eq!(&got, &serial_map, "jobs={}", jobs);
         }
     }

@@ -25,17 +25,16 @@
 //!
 //! The final candidate never scores below the greedy clustering it
 //! starts from: every chain begins at the greedy solution, tracks its
-//! best-seen state, and finishes with a steepest-ascent polish
-//! (the [`refine`](slopt_core::refine) move set, driven through the
-//! delta evaluator).
+//! best-seen state, and finishes with [`polish`] — the same
+//! steepest-ascent driver [`refine`](slopt_core::refine()) runs.
 
 #![deny(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use slopt_core::cluster::{cluster_with_obs, Clustering};
-use slopt_core::delta::{DeltaObjective, Move};
+use slopt_core::cluster::{cluster, Clustering};
+use slopt_core::delta::{polish, DeltaObjective, Move};
 use slopt_core::flg::FlgView;
 use slopt_core::par::{par_map_supervised, FaultReport, SupervisePolicy};
 use slopt_ir::interp::SplitMix64;
@@ -233,31 +232,6 @@ fn propose<V: FlgView>(rng: &mut SmallRng, d: &DeltaObjective<'_, V>) -> Option<
     }
 }
 
-/// Steepest-ascent polish over single-field moves (the
-/// [`refine`](slopt_core::refine) move set) through the delta
-/// evaluator. Returns accepted move count.
-fn polish<V: FlgView>(d: &mut DeltaObjective<'_, V>, max_moves: usize) -> u64 {
-    let n = d.clusters().iter().map(Vec::len).sum::<usize>() as u32;
-    let mut accepted = 0u64;
-    while (accepted as usize) < max_moves {
-        let mut best: Option<(Move, f64)> = None;
-        for f in (0..n).map(FieldIdx) {
-            for dst in 0..=d.cluster_count() {
-                let m = Move::MoveField { field: f, dst };
-                if let Some(gain) = d.score_move(m) {
-                    if gain > 1e-9 && best.is_none_or(|(_, g)| gain > g) {
-                        best = Some((m, gain));
-                    }
-                }
-            }
-        }
-        let Some((m, _)) = best else { break };
-        d.apply(m);
-        accepted += 1;
-    }
-    accepted
-}
-
 /// Runs one annealing chain from `start`. Pure function of its
 /// arguments: same inputs, same seed → bit-identical result.
 pub fn run_chain<V: FlgView>(
@@ -325,7 +299,7 @@ pub fn run_chain<V: FlgView>(
     };
     let mut clusters: Vec<Vec<FieldIdx>> = d.into_clustering().clusters().to_vec();
     clusters.sort_by_key(|c| c.iter().map(|f| rank[f.index()]).min().unwrap_or(u32::MAX));
-    let score = slopt_core::delta::clustering_score_with(flg, &Clustering::new(clusters.clone()));
+    let score = slopt_core::clustering_score(flg, &Clustering::new(clusters.clone()));
     ChainResult {
         chain,
         seed,
@@ -347,6 +321,10 @@ pub fn run_chain<V: FlgView>(
 /// the winner is chosen by strictly-greater score in that order (ties
 /// go to the earliest chain).
 ///
+/// Instrumented through `obs`: the run is wrapped in a `search` span and
+/// flushes `search.chains/proposed/accepted/polished` plus a
+/// `search.improved` gauge (1.0 when the winner strictly beats greedy).
+///
 /// # Panics
 ///
 /// Panics if the record has fewer than two fields, if the FLG and
@@ -359,30 +337,13 @@ pub fn search_layout<V: FlgView + Sync>(
     params: &SearchParams,
     portfolio: Portfolio,
     jobs: usize,
-) -> SearchOutcome {
-    search_layout_obs(flg, record, params, portfolio, jobs, &Obs::disabled())
-}
-
-/// [`search_layout`] with instrumentation: wraps the run in a `search`
-/// span and flushes `search.chains/proposed/accepted/polished` plus a
-/// `search.improved` gauge (1.0 when the winner strictly beats greedy).
-///
-/// # Panics
-///
-/// See [`search_layout`].
-pub fn search_layout_obs<V: FlgView + Sync>(
-    flg: &V,
-    record: &RecordType,
-    params: &SearchParams,
-    portfolio: Portfolio,
-    jobs: usize,
     obs: &Obs,
 ) -> SearchOutcome {
     let _span = obs.span("search");
     assert!(record.field_count() >= 2, "need at least two fields");
     assert!(portfolio.chains >= 1, "need at least one chain");
-    let start = cluster_with_obs(flg, record, params.line_size, obs);
-    let greedy_score = slopt_core::delta::clustering_score_with(flg, &start);
+    let start = cluster(flg, record, params.line_size, obs);
+    let greedy_score = slopt_core::clustering_score(flg, &start);
 
     let mut mix = SplitMix64::new(portfolio.master_seed);
     let seeds: Vec<u64> = (0..portfolio.chains).map(|_| mix.next_u64()).collect();
@@ -473,6 +434,7 @@ mod tests {
                 master_seed: 7,
             },
             1,
+            &Obs::disabled(),
         );
         assert!(
             out.winner().score > out.greedy_score,
@@ -500,9 +462,9 @@ mod tests {
             chains: 5,
             master_seed: 99,
         };
-        let base = search_layout(&flg, &rec, &params, portfolio, 1);
+        let base = search_layout(&flg, &rec, &params, portfolio, 1, &Obs::disabled());
         for jobs in [2, 4, 7] {
-            let out = search_layout(&flg, &rec, &params, portfolio, jobs);
+            let out = search_layout(&flg, &rec, &params, portfolio, jobs, &Obs::disabled());
             assert_eq!(out.best, base.best);
             assert_eq!(out.winner().score.to_bits(), base.winner().score.to_bits());
             for (a, b) in out.chains.iter().zip(&base.chains) {
@@ -530,6 +492,7 @@ mod tests {
                     master_seed: seed,
                 },
                 2,
+                &Obs::disabled(),
             );
             assert!(
                 out.winner().score >= out.greedy_score,
@@ -553,6 +516,7 @@ mod tests {
                 master_seed: 5,
             },
             2,
+            &Obs::disabled(),
         );
         let top = out.top_k(3);
         assert!(!top.is_empty());
@@ -587,6 +551,7 @@ mod tests {
                 master_seed: 11,
             },
             2,
+            &Obs::disabled(),
         );
         for c in &out.winner().clusters {
             assert!(c.len() <= 16, "cluster exceeds a cache line");

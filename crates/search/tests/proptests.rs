@@ -4,8 +4,9 @@
 //! portfolio is bit-reproducible for every `jobs` value.
 
 use proptest::prelude::*;
-use slopt_core::{clustering_score_with, Flg};
+use slopt_core::{clustering_score, Flg};
 use slopt_ir::types::{FieldIdx, FieldType, PrimType, RecordId, RecordType};
+use slopt_obs::Obs;
 use slopt_search::{search_layout, Portfolio, SearchParams};
 
 fn record_u64(n: usize) -> RecordType {
@@ -43,20 +44,20 @@ proptest! {
         let rec = record_u64(n);
         let params = SearchParams { steps: 120, ..SearchParams::default() };
         let portfolio = Portfolio { chains: 3, master_seed: seed };
-        let base = search_layout(&flg, &rec, &params, portfolio, 1);
+        let base = search_layout(&flg, &rec, &params, portfolio, 1, &Obs::disabled());
 
         // Winner: valid partition, canonical score, never below greedy.
         let clustering = base.winner().clustering();
         prop_assert_eq!(clustering.field_count(), n);
         prop_assert_eq!(
             base.winner().score.to_bits(),
-            clustering_score_with(&flg, &clustering).to_bits()
+            clustering_score(&flg, &clustering).to_bits()
         );
         prop_assert!(base.winner().score >= base.greedy_score);
 
         // Bit-reproducible at any fan-out.
         for jobs in [2usize, 5] {
-            let out = search_layout(&flg, &rec, &params, portfolio, jobs);
+            let out = search_layout(&flg, &rec, &params, portfolio, jobs, &Obs::disabled());
             prop_assert_eq!(out.best, base.best);
             for (a, b) in out.chains.iter().zip(&base.chains) {
                 prop_assert_eq!(a.score.to_bits(), b.score.to_bits());

@@ -17,9 +17,10 @@ const ABOUT: &str = "always-available continuous layout-advisory daemon \
 const EXTRA_HELP: &str = "SERVE OPTIONS:
     --addr HOST:PORT     Bind address (default 127.0.0.1:0; the bound
                          address is written to <state-dir>/addr).
-    --window N           Window size in whole CC intervals (default 4096);
-                         samples older than the window decay out.
-    --interval N         CC interval length in cycles (default 6000).
+    --window N           Window size in whole CC intervals (default 4096,
+                         1..=1048576); samples older than the window decay
+                         out.
+    --interval N         CC interval length in cycles (default 6000, >= 1).
     --reopt-ms N         Re-optimize the cached advice every N ms when the
                          window changed (default 0: lazily on request).
     --offline DIR        Don't serve: fold every *.slshard under DIR and
@@ -48,6 +49,11 @@ const EXTRAS: &[(&str, bool)] = &[
     ("--clients", true),
     ("--batches", true),
 ];
+
+/// Largest accepted `--window`, in intervals. The window ring holds one
+/// slot per interval, allocated up front, so the cap bounds that
+/// allocation (a 1 Mi-slot ring is a few tens of MB).
+const MAX_WINDOW: u64 = 1 << 20;
 
 /// Set by the SIGTERM handler; polled by the daemon main loop.
 static TERM: AtomicBool = AtomicBool::new(false);
@@ -87,13 +93,29 @@ fn extra_u64(argv: &[String], flag: &str, default: u64) -> u64 {
     }
 }
 
+/// [`extra_u64`] restricted to `1..=max`: anything else is a usage
+/// error naming the flag.
+fn extra_count(argv: &[String], flag: &str, default: u64, max: u64) -> u64 {
+    let value = extra_u64(argv, flag, default);
+    if value == 0 || value > max {
+        let expected = if max == u64::MAX {
+            "a positive integer".to_string()
+        } else {
+            format!("1..={max}")
+        };
+        eprintln!("slopt-serve: bad value `{value}` for {flag} (expected {expected})");
+        std::process::exit(i32::from(exit::USAGE));
+    }
+    value
+}
+
 fn main() {
     let args = CommonArgs::from_env_or_exit("slopt-serve", ABOUT, EXTRA_HELP, EXTRAS);
     let argv: Vec<String> = std::env::args().skip(1).collect();
 
     let serve = ServeConfig {
-        interval: extra_u64(&argv, "--interval", 6_000),
-        window: extra_u64(&argv, "--window", 4_096),
+        interval: extra_count(&argv, "--interval", 6_000, u64::MAX),
+        window: extra_count(&argv, "--window", 4_096, MAX_WINDOW),
     };
     let plan = args
         .fault

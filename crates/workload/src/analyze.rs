@@ -19,7 +19,7 @@
 
 use crate::kernel::{SlotKind, WorkloadSpec};
 use crate::sdet::{baseline_layouts, run_once_obs, Machine, SdetConfig};
-use slopt_core::{suggest_constrained, suggest_layout_obs, Suggestion, ToolParams};
+use slopt_core::{suggest_constrained, suggest_layout, Suggestion, ToolParams};
 use slopt_ir::affinity::AffinityGraph;
 use slopt_ir::cfg::FuncId;
 use slopt_ir::fmf::FieldMap;
@@ -145,13 +145,13 @@ pub fn analyze_obs(
 /// its samples to `slopt-shard/1` files under `shard_dir` (at most
 /// `shard_size` samples buffered at a time) and the Code Concurrency map
 /// is folded back from the shards by
-/// [`slopt_sample::shard_concurrency_obs`], skipping any malformed shard
+/// [`slopt_sample::shard_concurrency`], skipping any malformed shard
 /// gracefully. `jobs` fans out the per-interval replay.
 ///
 /// The returned analysis is bit-identical to [`analyze_obs`]'s except
 /// that `samples` is empty — not materializing the trace is the point —
 /// and the ingestion stats report what was folded.
-pub fn analyze_sharded_obs(
+pub fn analyze_sharded(
     kernel: &impl WorkloadSpec,
     sdet: &SdetConfig,
     cfg: &AnalysisConfig,
@@ -174,7 +174,7 @@ pub fn analyze_sharded_obs(
         obs,
     );
     let (_paths, dropped) = spool.finish()?;
-    let (concurrency, stats) = slopt_sample::shard_concurrency_obs(
+    let (concurrency, stats) = slopt_sample::shard_concurrency(
         shard_dir,
         ConcurrencyConfig {
             interval: cfg.interval,
@@ -352,7 +352,7 @@ pub fn suggest_for_obs(
 ) -> Suggestion {
     let affinity = affinity_for(kernel, analysis, rec);
     let loss = loss_for(kernel, analysis, rec);
-    suggest_layout_obs(kernel.record_type(rec), &affinity, Some(&loss), params, obs)
+    suggest_layout(kernel.record_type(rec), &affinity, Some(&loss), params, obs)
         .expect("valid record must lay out")
 }
 
@@ -433,7 +433,7 @@ mod tests {
             std::env::temp_dir().join(format!("slopt_analyze_sharded_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         for (shard_size, jobs) in [(100, 1), (997, 4)] {
-            let (sharded, stats) = analyze_sharded_obs(
+            let (sharded, stats) = analyze_sharded(
                 &kernel,
                 &sdet,
                 &cfg,

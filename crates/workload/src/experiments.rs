@@ -3,15 +3,17 @@
 //! The paper's flow, reproduced:
 //!
 //! 1. One instrumented 16-way run produces PBO + Code Concurrency
-//!    ([`compute_paper_layouts`]). From it, for each of structs A–E, three
-//!    layouts are derived: the **tool** layout (automatic FLG clustering,
-//!    §5.1), the naïve **sort-by-hotness** layout (§5.1), and the
-//!    **constrained** layout (§5.2 important-edge subgraph applied to the
-//!    baseline).
+//!    ([`compute_paper_layouts_jobs_obs`]). From it, for each of structs
+//!    A–E, three layouts are derived: the **tool** layout (automatic FLG
+//!    clustering, §5.1), the naïve **sort-by-hotness** layout (§5.1), and
+//!    the **constrained** layout (§5.2 important-edge subgraph applied to
+//!    the baseline).
 //! 2. Each layout replaces that one struct's baseline layout and the
 //!    SDET-like workload is measured (warm-up + n runs, trimmed mean) on a
 //!    target machine; results are reported as % throughput difference
-//!    versus the all-baseline configuration ([`figure_rows`]).
+//!    versus the all-baseline configuration. [`figure_tables`] builds
+//!    that grid and [`figure_from_throughputs`] assembles the
+//!    [`Figure`]; `slopt_bench::figure` measures it.
 //!
 //! Figure 8 = {Tool, SortByHotness} on the 128-way machine; Figure 9 = the
 //! same layouts on the 4-way machine; Figure 10 = best of {Tool,
@@ -21,9 +23,7 @@ use crate::analyze::{
     analyze_obs, constrained_for, suggest_for_obs, AnalysisConfig, KernelAnalysis,
 };
 use crate::kernel::Kernel;
-use crate::sdet::{
-    baseline_layouts, layouts_with, measurement_seeds, run_once, Machine, SdetConfig, Throughput,
-};
+use crate::sdet::{baseline_layouts, layouts_with, SdetConfig, Throughput};
 use slopt_core::{sort_by_hotness, Suggestion, ToolParams};
 use slopt_ir::layout::StructLayout;
 use slopt_ir::types::RecordId;
@@ -91,48 +91,18 @@ impl PaperLayouts {
     }
 }
 
-/// Runs the measurement run and derives all per-record layouts: the
-/// serial path, equivalent to [`compute_paper_layouts_jobs`] with
-/// `jobs == 1`.
-pub fn compute_paper_layouts(
-    kernel: &Kernel,
-    sdet: &SdetConfig,
-    analysis_cfg: &AnalysisConfig,
-    tool: ToolParams,
-) -> PaperLayouts {
-    compute_paper_layouts_jobs(kernel, sdet, analysis_cfg, tool, 1)
-}
-
-/// [`compute_paper_layouts`] with per-record layout derivation fanned out
-/// over up to `jobs` host threads.
+/// Runs the measurement run and derives all per-record layouts, with the
+/// per-record derivation fanned out over up to `jobs` host threads.
 ///
 /// The instrumented measurement run is a single simulation and stays
 /// serial; the per-record work (FLG build, clustering, sort-by-hotness,
 /// constrained edit) reads only the shared analysis artifacts and its own
 /// record, so records are independent work items. Results are keyed by
 /// `RecordId`, so the returned [`PaperLayouts`] is bit-identical for
-/// every `jobs` value.
-pub fn compute_paper_layouts_jobs(
-    kernel: &Kernel,
-    sdet: &SdetConfig,
-    analysis_cfg: &AnalysisConfig,
-    tool: ToolParams,
-    jobs: usize,
-) -> PaperLayouts {
-    compute_paper_layouts_jobs_obs(
-        kernel,
-        sdet,
-        analysis_cfg,
-        tool,
-        jobs,
-        &slopt_obs::Obs::disabled(),
-    )
-}
-
-/// [`compute_paper_layouts_jobs`] with instrumentation: the measurement
-/// run and the per-record derivation both emit spans and counters, and the
-/// whole derivation fan-out runs under a `derive_layouts` span (worker
-/// threads show up as separate trace thread ids).
+/// every `jobs` value. The measurement run and the per-record derivation
+/// both emit spans and counters to `obs`, and the whole derivation
+/// fan-out runs under a `derive_layouts` span (worker threads show up as
+/// separate trace thread ids).
 pub fn compute_paper_layouts_jobs_obs(
     kernel: &Kernel,
     sdet: &SdetConfig,
@@ -231,10 +201,8 @@ pub type FigureCellMeta = (char, RecordId, LayoutKind);
 /// `(struct, kind)` order. Returns the tables plus the metadata of each
 /// transformed table.
 ///
-/// This is the single source of the grid's cell order — both
-/// [`figure_rows_jobs_obs`] and `slopt-bench`'s checkpointing runner
-/// build from it, which is what makes a checkpointed figure run
-/// bit-identical to a direct one.
+/// This is the single source of the grid's cell order: `slopt-bench`'s
+/// runner builds every figure grid from it, checkpointed or not.
 pub fn figure_tables(
     kernel: &Kernel,
     sdet: &SdetConfig,
@@ -291,113 +259,6 @@ pub fn figure_from_throughputs(
     }
 }
 
-/// Measures the % throughput difference of each layout kind for each
-/// struct on `machine`, transforming one struct at a time (the paper's
-/// §5.1/§5.2 protocol): the serial path, equivalent to
-/// [`figure_rows_jobs`] with `jobs == 1`.
-pub fn figure_rows(
-    kernel: &Kernel,
-    machine: &Machine,
-    sdet: &SdetConfig,
-    runs: usize,
-    layouts: &PaperLayouts,
-    kinds: &[LayoutKind],
-    title: impl Into<String>,
-) -> Figure {
-    figure_rows_jobs(kernel, machine, sdet, runs, layouts, kinds, title, 1)
-}
-
-/// [`figure_rows`] with the whole measurement grid fanned out over up to
-/// `jobs` host threads.
-///
-/// The grid is flattened to `(layout table, run seed)` work items — the
-/// finest independent unit of simulation — so even a single figure's
-/// `1 + structs × kinds` cells scale past a handful of threads. Seeds come
-/// from [`measurement_seeds`] exactly as in the serial path, every run
-/// owns its instances, scripts and memory system, and values are regrouped
-/// by `(table, seed)` index, never completion order: the resulting
-/// [`Figure`] is bit-identical for every `jobs` value.
-#[allow(clippy::too_many_arguments)]
-pub fn figure_rows_jobs(
-    kernel: &Kernel,
-    machine: &Machine,
-    sdet: &SdetConfig,
-    runs: usize,
-    layouts: &PaperLayouts,
-    kinds: &[LayoutKind],
-    title: impl Into<String>,
-    jobs: usize,
-) -> Figure {
-    figure_rows_jobs_obs(
-        kernel,
-        machine,
-        sdet,
-        runs,
-        layouts,
-        kinds,
-        title,
-        jobs,
-        &slopt_obs::Obs::disabled(),
-    )
-}
-
-/// [`figure_rows_jobs`] with instrumentation: the measurement grid runs
-/// under a `figure_measure` span, each `(table, seed)` cell under its own
-/// `measure_cell` span (so per-worker utilization can be derived from the
-/// per-thread span totals), the grid size is flushed as
-/// `figure.cells` / `figure.runs` counters, and every cell's simulated
-/// makespan feeds the deterministic `figure.cell_makespan` histogram.
-#[allow(clippy::too_many_arguments)]
-pub fn figure_rows_jobs_obs(
-    kernel: &Kernel,
-    machine: &Machine,
-    sdet: &SdetConfig,
-    runs: usize,
-    layouts: &PaperLayouts,
-    kinds: &[LayoutKind],
-    title: impl Into<String>,
-    jobs: usize,
-    obs: &slopt_obs::Obs,
-) -> Figure {
-    assert!(runs > 0, "need at least one measured run");
-    let (tables, cells) = figure_tables(kernel, sdet, layouts, kinds);
-    let seeds = measurement_seeds(runs);
-    let grid: Vec<(usize, u64)> = (0..tables.len())
-        .flat_map(|t| seeds.iter().map(move |&seed| (t, seed)))
-        .collect();
-    if obs.enabled() {
-        obs.counter("figure.tables", tables.len() as u64);
-        obs.counter("figure.cells", grid.len() as u64);
-        obs.counter("figure.runs", seeds.len() as u64);
-    }
-    let values = {
-        let _span = obs.span("figure_measure");
-        slopt_core::par_map(jobs, &grid, |_, &(t, seed)| {
-            let _cell = obs.span("measure_cell");
-            let out = run_once(
-                kernel,
-                &tables[t],
-                machine,
-                sdet,
-                seed,
-                &mut slopt_sim::NullObserver,
-            );
-            // Per-cell simulated makespan distribution. Simulated cycles
-            // are a pure function of (table, seed), so unlike the
-            // wall-clock span histograms this one is bit-identical at any
-            // --jobs value and trace_diff compares it structurally.
-            obs.histogram("figure.cell_makespan", out.result.makespan);
-            out.result.throughput()
-        })
-    };
-    // Regroup into one Throughput per table; chunk[0] is the warm-up run.
-    let mut per_table = values
-        .chunks_exact(seeds.len())
-        .map(|chunk| Throughput::from_runs(chunk[1..].to_vec()));
-    let baseline = per_table.next().expect("table 0 is always present");
-    figure_from_throughputs(title, &cells, baseline, per_table.collect())
-}
-
 /// Figure 10's reduction: for each struct, the best of the automatic and
 /// constrained layouts (the paper reports "best performance").
 pub fn best_rows(fig: &Figure) -> Vec<(char, LayoutKind, f64)> {
@@ -418,6 +279,8 @@ pub fn best_rows(fig: &Figure) -> Vec<(char, LayoutKind, f64)> {
 mod tests {
     use super::*;
     use crate::kernel::build_kernel;
+    use crate::sdet::{measure, Machine};
+    use slopt_obs::Obs;
     use slopt_sim::CacheConfig;
 
     fn tiny() -> (Kernel, SdetConfig, AnalysisConfig) {
@@ -443,7 +306,14 @@ mod tests {
     #[test]
     fn paper_layouts_cover_all_records_and_kinds() {
         let (kernel, sdet, acfg) = tiny();
-        let layouts = compute_paper_layouts(&kernel, &sdet, &acfg, ToolParams::default());
+        let layouts = compute_paper_layouts_jobs_obs(
+            &kernel,
+            &sdet,
+            &acfg,
+            ToolParams::default(),
+            1,
+            &Obs::disabled(),
+        );
         for (_, rec) in kernel.records.all() {
             for kind in [
                 LayoutKind::Tool,
@@ -462,19 +332,23 @@ mod tests {
     }
 
     #[test]
-    fn figure_rows_report_every_struct() {
+    fn figure_grid_reports_every_struct() {
         let (kernel, sdet, acfg) = tiny();
-        let layouts = compute_paper_layouts(&kernel, &sdet, &acfg, ToolParams::default());
-        let machine = Machine::superdome(4);
-        let fig = figure_rows(
+        let layouts = compute_paper_layouts_jobs_obs(
             &kernel,
-            &machine,
             &sdet,
-            2,
-            &layouts,
-            &[LayoutKind::Tool],
-            "smoke",
+            &acfg,
+            ToolParams::default(),
+            1,
+            &Obs::disabled(),
         );
+        let machine = Machine::superdome(4);
+        let (tables, cells) = figure_tables(&kernel, &sdet, &layouts, &[LayoutKind::Tool]);
+        let mut measured = tables
+            .iter()
+            .map(|t| measure(&kernel, t, &machine, &sdet, 2, 1));
+        let baseline = measured.next().expect("table 0 is the baseline");
+        let fig = figure_from_throughputs("smoke", &cells, baseline, measured.collect());
         assert_eq!(fig.rows.len(), 5);
         assert!(fig.baseline.mean > 0.0);
         let text = fig.to_string();

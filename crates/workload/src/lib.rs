@@ -39,20 +39,19 @@ pub mod structs;
 pub mod validate;
 
 pub use analyze::{
-    analyze, analyze_obs, analyze_sharded_obs, constrained_for, loss_for, suggest_for,
-    suggest_for_obs, AnalysisConfig, KernelAnalysis,
+    analyze, analyze_obs, analyze_sharded, constrained_for, loss_for, suggest_for, suggest_for_obs,
+    AnalysisConfig, KernelAnalysis,
 };
 pub use experiments::{
-    best_rows, compute_paper_layouts, compute_paper_layouts_jobs, compute_paper_layouts_jobs_obs,
-    figure_from_throughputs, figure_rows, figure_rows_jobs, figure_rows_jobs_obs, figure_tables,
-    Figure, FigureCellMeta, FigureRow, LayoutKind, PaperLayouts,
+    best_rows, compute_paper_layouts_jobs_obs, figure_from_throughputs, figure_tables, Figure,
+    FigureCellMeta, FigureRow, LayoutKind, PaperLayouts,
 };
 pub use kernel::{build_kernel, Action, CustomWorkload, Kernel, SlotKind, WorkloadSpec};
 pub use sdet::{
-    baseline_layouts, build_scripts, layouts_with, measure, measure_jobs, measurement_seeds,
-    run_once, run_once_logged, run_once_obs, Instances, Machine, SdetConfig, SdetRun, Throughput,
+    baseline_layouts, build_scripts, layouts_with, measure, measurement_seeds, run_once,
+    run_once_logged, run_once_obs, Instances, Machine, SdetConfig, SdetRun, Throughput,
 };
-pub use search::{search_for, search_for_obs, validate_top_k, StructSearch, ValidatedCandidate};
+pub use search::{search_for, validate_top_k, StructSearch, ValidatedCandidate};
 pub use spec::{parse_workload_file, SpecError};
 pub use stress::{stress_records, stress_workload, SEARCH_STRESS_SPEC};
 pub use structs::{KernelRecords, STAT_CLASSES};

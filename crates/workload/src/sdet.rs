@@ -367,36 +367,19 @@ pub fn measurement_seeds(runs: usize) -> Vec<u64> {
 }
 
 /// Measures throughput over `runs` measured runs (plus one warm-up run
-/// that is discarded): the serial path, equivalent to
-/// [`measure_jobs`] with `jobs == 1`.
-///
-/// # Panics
-///
-/// Panics if `runs == 0`.
-pub fn measure(
-    kernel: &(impl WorkloadSpec + Sync),
-    layouts: &LayoutTable,
-    machine: &Machine,
-    cfg: &SdetConfig,
-    runs: usize,
-) -> Throughput {
-    measure_jobs(kernel, layouts, machine, cfg, runs, 1)
-}
-
-/// [`measure`] with the warm-up and the measured runs fanned out over up
-/// to `jobs` host threads.
+/// that is discarded), fanned out over up to `jobs` host threads.
 ///
 /// Every run is an independent simulation: it allocates its own
 /// [`Instances`], builds its own scripts and owns its own
 /// [`MemSystem`] and per-CPU `SmallRng`s, all derived from the explicit
 /// run seed. Results are collected by run index, so the returned
 /// [`Throughput`] — `runs` vector included — is bit-identical for every
-/// `jobs` value.
+/// `jobs` value; `jobs == 1` is the serial loop.
 ///
 /// # Panics
 ///
 /// Panics if `runs == 0`.
-pub fn measure_jobs(
+pub fn measure(
     kernel: &(impl WorkloadSpec + Sync),
     layouts: &LayoutTable,
     machine: &Machine,
@@ -565,7 +548,7 @@ mod tests {
         let cfg = small_cfg();
         let layouts = baseline_layouts(&k, cfg.line_size);
         let machine = Machine::bus(2);
-        let t = measure(&k, &layouts, &machine, &cfg, 4);
+        let t = measure(&k, &layouts, &machine, &cfg, 4, 1);
         assert_eq!(t.runs.len(), 4);
         assert!(t.mean > 0.0);
         let spread = (t.runs.iter().cloned().fold(f64::MIN, f64::max)

@@ -7,12 +7,12 @@
 
 use crate::analyze::{affinity_for, loss_for, KernelAnalysis};
 use crate::kernel::WorkloadSpec;
-use crate::sdet::{layouts_with, measure_jobs, Machine, SdetConfig, Throughput};
+use crate::sdet::{layouts_with, measure, Machine, SdetConfig, Throughput};
 use slopt_core::{layout_from_clusters, Flg, ToolParams};
 use slopt_ir::layout::StructLayout;
 use slopt_ir::types::RecordId;
 use slopt_obs::Obs;
-use slopt_search::{search_layout_obs, ChainResult, Portfolio, SearchOutcome, SearchParams};
+use slopt_search::{search_layout, ChainResult, Portfolio, SearchOutcome, SearchParams};
 
 /// One record's portfolio result, alongside the FLG it was scored on.
 #[derive(Debug)]
@@ -51,32 +51,11 @@ impl StructSearch {
 /// Runs the search portfolio for one record: the FLG is built exactly
 /// as [`suggest_for`](crate::analyze::suggest_for) builds it (affinity
 /// plus alias-weighted CycleLoss under `tool.flg`), so the greedy
-/// baseline inside the outcome is the tool's own clustering.
-pub fn search_for(
-    kernel: &impl WorkloadSpec,
-    analysis: &KernelAnalysis,
-    rec: RecordId,
-    tool: ToolParams,
-    params: &SearchParams,
-    portfolio: Portfolio,
-    jobs: usize,
-) -> StructSearch {
-    search_for_obs(
-        kernel,
-        analysis,
-        rec,
-        tool,
-        params,
-        portfolio,
-        jobs,
-        &Obs::disabled(),
-    )
-}
-
-/// [`search_for`] with instrumentation: FLG build and the chain
-/// portfolio emit their spans and `search.*` counters to `obs`.
+/// baseline inside the outcome is the tool's own clustering. FLG build
+/// and the chain portfolio emit their spans and `search.*` counters to
+/// `obs`.
 #[allow(clippy::too_many_arguments)]
-pub fn search_for_obs(
+pub fn search_for(
     kernel: &impl WorkloadSpec,
     analysis: &KernelAnalysis,
     rec: RecordId,
@@ -88,14 +67,14 @@ pub fn search_for_obs(
 ) -> StructSearch {
     let affinity = affinity_for(kernel, analysis, rec);
     let loss = loss_for(kernel, analysis, rec);
-    let flg = Flg::build_obs(&affinity, Some(&loss), tool.flg, obs);
+    let flg = Flg::build(&affinity, Some(&loss), tool.flg, obs);
     // The search must cluster at the same line size the tool's greedy
     // pass uses, or the two objectives are not comparable.
     let params = SearchParams {
         line_size: tool.layout.line_size,
         ..*params
     };
-    let outcome = search_layout_obs(&flg, kernel.record_type(rec), &params, portfolio, jobs, obs);
+    let outcome = search_layout(&flg, kernel.record_type(rec), &params, portfolio, jobs, obs);
     StructSearch { rec, flg, outcome }
 }
 
@@ -117,7 +96,7 @@ pub struct ValidatedCandidate {
 /// winner (highest mean throughput, ties to the better objective).
 ///
 /// Deterministic for every `jobs` value: candidate order comes from the
-/// portfolio's deterministic reduction and [`measure_jobs`] is
+/// portfolio's deterministic reduction and [`measure`] is
 /// jobs-invariant.
 #[allow(clippy::too_many_arguments)]
 pub fn validate_top_k(
@@ -134,7 +113,7 @@ pub fn validate_top_k(
     for c in search.outcome.top_k(k) {
         let layout = search.layout_of(kernel, c, tool);
         let table = layouts_with(kernel, sdet.line_size, search.rec, layout.clone());
-        let throughput = measure_jobs(kernel, &table, machine, sdet, runs, jobs);
+        let throughput = measure(kernel, &table, machine, sdet, runs, jobs);
         validated.push(ValidatedCandidate {
             candidate: c.clone(),
             layout,
@@ -180,8 +159,26 @@ mod tests {
             master_seed: 7,
         };
         let tool = ToolParams::default();
-        let s1 = search_for(&kernel, &analysis, rec, tool, &params, portfolio, 1);
-        let s4 = search_for(&kernel, &analysis, rec, tool, &params, portfolio, 4);
+        let s1 = search_for(
+            &kernel,
+            &analysis,
+            rec,
+            tool,
+            &params,
+            portfolio,
+            1,
+            &Obs::disabled(),
+        );
+        let s4 = search_for(
+            &kernel,
+            &analysis,
+            rec,
+            tool,
+            &params,
+            portfolio,
+            4,
+            &Obs::disabled(),
+        );
         assert!(s1.outcome.winner().score >= s1.outcome.greedy_score);
         assert_eq!(s1.outcome.best, s4.outcome.best);
         assert_eq!(

@@ -53,6 +53,7 @@ mod tests {
     use crate::search::search_for;
     use slopt_core::{cluster, clustering_score, DeltaObjective, Flg, Move, ToolParams};
     use slopt_ir::types::FieldIdx;
+    use slopt_obs::Obs;
     use slopt_search::{Portfolio, SearchParams};
 
     fn quick_sdet() -> SdetConfig {
@@ -85,10 +86,10 @@ mod tests {
         for (name, rec) in stress_records(&w) {
             let affinity = affinity_for(&w, &analysis, rec);
             let loss = loss_for(&w, &analysis, rec);
-            let flg = Flg::build(&affinity, Some(&loss), tool.flg);
+            let flg = Flg::build(&affinity, Some(&loss), tool.flg, &Obs::disabled());
             let record = w.record_type(rec);
             let line = tool.layout.line_size;
-            let greedy = cluster(&flg, record, line);
+            let greedy = cluster(&flg, record, line, &Obs::disabled());
             let greedy_score = clustering_score(&flg, &greedy);
             // Local optimality: no single feasible move improves on it.
             let d = DeltaObjective::new(&flg, record, &greedy, line);
@@ -126,6 +127,7 @@ mod tests {
                     master_seed: 42,
                 },
                 1,
+                &Obs::disabled(),
             );
             assert_eq!(
                 search.outcome.greedy_score.to_bits(),

@@ -166,7 +166,8 @@ mod tests {
     use crate::kernel::build_kernel;
     use crate::sdet::{baseline_layouts, layouts_with, run_once_logged, Machine, SdetConfig};
     use crate::structs::STAT_CLASSES;
-    use crate::{compute_paper_layouts, AnalysisConfig, LayoutKind};
+    use crate::{compute_paper_layouts_jobs_obs, AnalysisConfig, LayoutKind};
+    use slopt_obs::Obs;
     use slopt_sim::CacheConfig;
 
     fn small_cfg() -> SdetConfig {
@@ -222,7 +223,14 @@ mod tests {
             machine: Machine::superdome(8),
             ..Default::default()
         };
-        let paper = compute_paper_layouts(&kernel, &cfg, &analysis_cfg, Default::default());
+        let paper = compute_paper_layouts_jobs_obs(
+            &kernel,
+            &cfg,
+            &analysis_cfg,
+            Default::default(),
+            1,
+            &Obs::disabled(),
+        );
         let a = kernel.records.a;
         let table = layouts_with(
             &kernel,

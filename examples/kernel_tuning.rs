@@ -65,9 +65,10 @@ fn main() {
         &machine,
         &sdet,
         3,
+        1,
     );
     let table = layouts_with(&kernel, sdet.line_size, a, suggestion.layout.clone());
-    let tuned = measure(&kernel, &table, &machine, &sdet, 3);
+    let tuned = measure(&kernel, &table, &machine, &sdet, 3, 1);
     println!(
         "throughput on {}: baseline {:.1}, suggested {:.1} ({:+.2}%)",
         machine.topo.name(),

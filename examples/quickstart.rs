@@ -10,7 +10,7 @@
 //! `slopt-trace/1` run trace and `-- --stats` for an aggregate
 //! span/counter summary at exit.
 
-use slopt::core::{suggest_layout_obs, ToolParams};
+use slopt::core::{suggest_layout, ToolParams};
 use slopt::ir::builder::{FunctionBuilder, ProgramBuilder};
 use slopt::ir::cfg::InstanceSlot;
 use slopt::ir::layout::StructLayout;
@@ -146,7 +146,7 @@ pub fn run(obs: &Obs) -> Result<(), Box<dyn std::error::Error>> {
     let loss = slopt::sample::cycle_loss(&cm, &fmf, rec);
 
     // 5. Ask the tool for a layout and print the advisory.
-    let suggestion = suggest_layout_obs(&ty, &affinity, Some(&loss), ToolParams::default(), obs)?;
+    let suggestion = suggest_layout(&ty, &affinity, Some(&loss), ToolParams::default(), obs)?;
     println!("\n{}", suggestion.report);
     println!("suggested layout:\n{}", suggestion.layout);
 

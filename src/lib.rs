@@ -60,11 +60,11 @@
 //! Every expensive driver fans out across host threads through one
 //! primitive, [`core::par_map`] — batch layout suggestion
 //! ([`core::suggest_layout_all`]), repeated throughput measurement
-//! ([`workload::measure_jobs`]) and whole figure grids
-//! ([`workload::figure_rows_jobs`]) all take a `jobs` argument, and every
-//! one of them returns **bit-identical results for every `jobs` value**
-//! (see `DESIGN.md`, "Parallel execution model"). The convenience
-//! re-exports below cover the common entry points.
+//! ([`workload::measure`]) and whole figure grids (`slopt_bench::figure`)
+//! all take a `jobs` argument, and every one of them returns
+//! **bit-identical results for every `jobs` value** (see `DESIGN.md`,
+//! "Parallel execution model"). The convenience re-exports below cover
+//! the common entry points.
 //!
 //! The supervised variant [`core::par_map_supervised`] adds panic
 //! containment, deterministic retries and per-item deadlines on the same

@@ -17,7 +17,8 @@ use slopt::obs::replay::replay_str;
 use slopt::obs::Obs;
 use slopt::sim::CacheConfig;
 use slopt::workload::{
-    compute_paper_layouts, AnalysisConfig, Figure, LayoutKind, Machine, PaperLayouts, SdetConfig,
+    compute_paper_layouts_jobs_obs, AnalysisConfig, Figure, LayoutKind, Machine, PaperLayouts,
+    SdetConfig,
 };
 use slopt_bench::{figure, CheckpointSpec, ExecCtx, FaultConfig, FigureOutcome};
 use slopt_fault::FaultPlan;
@@ -43,7 +44,14 @@ fn tiny() -> (slopt::workload::Kernel, SdetConfig, PaperLayouts) {
         machine: Machine::superdome(8),
         ..Default::default()
     };
-    let layouts = compute_paper_layouts(&kernel, &sdet, &acfg, Default::default());
+    let layouts = compute_paper_layouts_jobs_obs(
+        &kernel,
+        &sdet,
+        &acfg,
+        Default::default(),
+        1,
+        &Obs::disabled(),
+    );
     (kernel, sdet, layouts)
 }
 

@@ -10,7 +10,8 @@ use slopt::obs::replay::replay_str;
 use slopt::obs::Obs;
 use slopt::sim::CacheConfig;
 use slopt::workload::{
-    compute_paper_layouts, AnalysisConfig, Figure, LayoutKind, Machine, PaperLayouts, SdetConfig,
+    compute_paper_layouts_jobs_obs, AnalysisConfig, Figure, LayoutKind, Machine, PaperLayouts,
+    SdetConfig,
 };
 use slopt_bench::{figure, CheckpointSpec, ExecCtx};
 use std::path::{Path, PathBuf};
@@ -32,7 +33,14 @@ fn tiny() -> (slopt::workload::Kernel, SdetConfig, PaperLayouts) {
         machine: Machine::superdome(8),
         ..Default::default()
     };
-    let layouts = compute_paper_layouts(&kernel, &sdet, &acfg, Default::default());
+    let layouts = compute_paper_layouts_jobs_obs(
+        &kernel,
+        &sdet,
+        &acfg,
+        Default::default(),
+        1,
+        &Obs::disabled(),
+    );
     (kernel, sdet, layouts)
 }
 
@@ -219,7 +227,14 @@ fn resume_refuses_a_drifted_analysis() {
         machine: Machine::superdome(4),
         ..Default::default()
     };
-    let drifted = compute_paper_layouts(&kernel, &sdet, &drifted_cfg, Default::default());
+    let drifted = compute_paper_layouts_jobs_obs(
+        &kernel,
+        &sdet,
+        &drifted_cfg,
+        Default::default(),
+        1,
+        &Obs::disabled(),
+    );
     assert_ne!(
         drifted.analysis.concurrency, layouts.analysis.concurrency,
         "precondition: the drifted analysis must actually differ"

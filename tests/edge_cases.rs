@@ -12,6 +12,7 @@ use slopt::sample::{concurrency_map, ConcurrencyConfig};
 use slopt::sim::{
     CacheConfig, EngineConfig, Invocation, LatencyModel, LayoutTable, MemSystem, Script, Topology,
 };
+use slopt_obs::Obs;
 
 #[test]
 fn loop_with_trip_one_executes_body_once() {
@@ -72,7 +73,7 @@ fn single_field_record_is_trivially_laid_out() {
     assert_eq!(layout.size(), 1);
     assert_eq!(layout.line_span(), 1);
     let flg = Flg::from_parts(RecordId(0), vec![5], vec![]);
-    let clustering = cluster(&flg, &rec, 128);
+    let clustering = cluster(&flg, &rec, 128, &Obs::disabled());
     assert_eq!(clustering.len(), 1);
     // The whole pipeline handles it too.
     let mut reg = TypeRegistry::new();
@@ -85,7 +86,14 @@ fn single_field_record_is_trivially_laid_out() {
     let prog = pb.finish();
     let profile = profile_invocations(&prog, &[f], 1, 100).unwrap();
     let affinity = slopt::ir::affinity::AffinityGraph::analyze(&prog, &profile, rid);
-    let s = suggest_layout(&rec, &affinity, None, ToolParams::default()).unwrap();
+    let s = suggest_layout(
+        &rec,
+        &affinity,
+        None,
+        ToolParams::default(),
+        &Obs::disabled(),
+    )
+    .unwrap();
     assert_eq!(s.layout.order(), &[FieldIdx(0)]);
 }
 
@@ -266,7 +274,7 @@ fn opaque_only_record_survives_the_tool() {
         vec![10, 10],
         vec![(FieldIdx(0), FieldIdx(1), -5.0)],
     );
-    let clustering = cluster(&flg, &rec, 128);
+    let clustering = cluster(&flg, &rec, 128, &Obs::disabled());
     assert_eq!(clustering.len(), 2, "negative edge separates the blobs");
     let layout = slopt::core::layout_from_clusters(
         &rec,

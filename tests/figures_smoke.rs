@@ -3,9 +3,12 @@
 
 use slopt::sim::CacheConfig;
 use slopt::workload::{
-    baseline_layouts, build_kernel, compute_paper_layouts, figure_rows, layouts_with, measure,
-    run_once, AnalysisConfig, LayoutKind, Machine, SdetConfig, STAT_CLASSES,
+    baseline_layouts, build_kernel, compute_paper_layouts_jobs_obs, layouts_with, measure,
+    run_once, AnalysisConfig, Figure, Kernel, LayoutKind, Machine, PaperLayouts, SdetConfig,
+    STAT_CLASSES,
 };
+use slopt_bench::{figure, ExecCtx};
+use slopt_obs::Obs;
 
 fn small_sdet() -> SdetConfig {
     SdetConfig {
@@ -21,25 +24,58 @@ fn small_sdet() -> SdetConfig {
     }
 }
 
-#[test]
-fn fig8_shape_holds_at_test_scale() {
+/// The kernel, its test-scale workload, and the paper layouts derived
+/// from a 16-way measurement run.
+fn paper_setup() -> (Kernel, SdetConfig, PaperLayouts) {
     let kernel = build_kernel();
     let sdet = small_sdet();
     let analysis = AnalysisConfig {
         machine: Machine::superdome(16),
         ..AnalysisConfig::default()
     };
-    let layouts = compute_paper_layouts(&kernel, &sdet, &analysis, Default::default());
+    let layouts = compute_paper_layouts_jobs_obs(
+        &kernel,
+        &sdet,
+        &analysis,
+        Default::default(),
+        1,
+        &Obs::disabled(),
+    );
+    (kernel, sdet, layouts)
+}
+
+/// A serial, unsupervised figure grid (2 runs per cell) through the
+/// shared runner.
+fn measure_figure(
+    setup: &(Kernel, SdetConfig, PaperLayouts),
+    machine: &Machine,
+    kinds: &[LayoutKind],
+) -> Figure {
+    let (kernel, sdet, layouts) = setup;
+    figure(
+        &ExecCtx::bare(1),
+        "smoke",
+        kernel,
+        machine,
+        sdet,
+        2,
+        layouts,
+        kinds,
+        "smoke",
+    )
+    .expect("no checkpoint, so no I/O")
+    .figure
+    .expect("no fault plan, so no holes")
+}
+
+#[test]
+fn fig8_shape_holds_at_test_scale() {
     // A scaled-down "Superdome": 32 CPUs keeps the test fast.
     let machine = Machine::superdome(32);
-    let fig = figure_rows(
-        &kernel,
+    let fig = measure_figure(
+        &paper_setup(),
         &machine,
-        &sdet,
-        2,
-        &layouts,
         &[LayoutKind::Tool, LayoutKind::SortByHotness],
-        "fig8 smoke",
     );
     let row_a = &fig.rows[0];
     let tool_a = row_a.results[0].1;
@@ -73,13 +109,7 @@ fn fig8_shape_holds_at_test_scale() {
 
 #[test]
 fn tool_layout_always_isolates_struct_a_counters() {
-    let kernel = build_kernel();
-    let sdet = small_sdet();
-    let analysis = AnalysisConfig {
-        machine: Machine::superdome(16),
-        ..AnalysisConfig::default()
-    };
-    let layouts = compute_paper_layouts(&kernel, &sdet, &analysis, Default::default());
+    let (kernel, _, layouts) = paper_setup();
     let a = kernel.records.a;
     let tool = layouts.layout(a, LayoutKind::Tool);
     let flags = kernel.field(a, "flags");
@@ -114,13 +144,7 @@ fn tool_layout_always_isolates_struct_a_counters() {
 
 #[test]
 fn false_sharing_stats_attribute_to_struct_a_under_hotness_layout() {
-    let kernel = build_kernel();
-    let sdet = small_sdet();
-    let analysis = AnalysisConfig {
-        machine: Machine::superdome(16),
-        ..AnalysisConfig::default()
-    };
-    let layouts = compute_paper_layouts(&kernel, &sdet, &analysis, Default::default());
+    let (kernel, sdet, layouts) = paper_setup();
     let a = kernel.records.a;
     let machine = Machine::superdome(32);
 
@@ -168,23 +192,7 @@ fn false_sharing_stats_attribute_to_struct_a_under_hotness_layout() {
 
 #[test]
 fn fig9_no_blowups_on_small_machine() {
-    let kernel = build_kernel();
-    let sdet = small_sdet();
-    let analysis = AnalysisConfig {
-        machine: Machine::superdome(16),
-        ..AnalysisConfig::default()
-    };
-    let layouts = compute_paper_layouts(&kernel, &sdet, &analysis, Default::default());
-    let machine = Machine::bus(4);
-    let fig = figure_rows(
-        &kernel,
-        &machine,
-        &sdet,
-        2,
-        &layouts,
-        &[LayoutKind::Tool],
-        "fig9 smoke",
-    );
+    let fig = measure_figure(&paper_setup(), &Machine::bus(4), &[LayoutKind::Tool]);
     for row in &fig.rows {
         let tool = row.results[0].1;
         assert!(
@@ -201,7 +209,7 @@ fn measurement_is_reproducible() {
     let sdet = small_sdet();
     let machine = Machine::superdome(8);
     let table = baseline_layouts(&kernel, sdet.line_size);
-    let a = measure(&kernel, &table, &machine, &sdet, 3);
-    let b = measure(&kernel, &table, &machine, &sdet, 3);
+    let a = measure(&kernel, &table, &machine, &sdet, 3, 1);
+    let b = measure(&kernel, &table, &machine, &sdet, 3, 1);
     assert_eq!(a.runs, b.runs, "same seeds must give identical run values");
 }

@@ -7,6 +7,7 @@ use slopt::core::{cluster, layout_from_clusters, random_layout, Flg, LayoutOptio
 use slopt::ir::layout::StructLayout;
 use slopt::ir::types::{FieldIdx, FieldType, PrimType, RecordId, RecordType};
 use slopt::sim::{CacheConfig, CpuId, LatencyModel, MemSystem, Topology};
+use slopt_obs::Obs;
 
 /// Strategy: a record of 1..24 fields with varied primitive types.
 fn arb_record() -> impl Strategy<Value = RecordType> {
@@ -73,7 +74,7 @@ proptest! {
             "R",
             (0..n).map(|i| (format!("f{i}"), FieldType::Prim(PrimType::U64))).collect(),
         );
-        let clustering = cluster(&flg, &rec, 128);
+        let clustering = cluster(&flg, &rec, 128, &Obs::disabled());
         // Partition: every field exactly once.
         prop_assert_eq!(clustering.field_count(), n);
         let mut seen: Vec<FieldIdx> = clustering.clusters().iter().flatten().copied().collect();

@@ -10,9 +10,11 @@ use slopt::core::{suggest_layout_all, LayoutRequest, ToolParams};
 use slopt::sample::{concurrency_map, shard_concurrency, write_shards, ConcurrencyConfig, Sample};
 use slopt::sim::CacheConfig;
 use slopt::workload::{
-    analyze, baseline_layouts, compute_paper_layouts_jobs, figure_rows_jobs, measure_jobs,
-    parse_workload_file, AnalysisConfig, LayoutKind, Machine, SdetConfig, WorkloadSpec,
+    analyze, baseline_layouts, compute_paper_layouts_jobs_obs, measure, parse_workload_file,
+    AnalysisConfig, LayoutKind, Machine, SdetConfig, WorkloadSpec,
 };
+use slopt_bench::{figure, ExecCtx};
+use slopt_obs::Obs;
 
 fn load_session_example() -> slopt::workload::CustomWorkload {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/session_table.sirw");
@@ -57,9 +59,9 @@ fn session_example_suggestions_are_job_count_invariant() {
             loss: Some(&loss),
         })
         .collect();
-    let serial = suggest_layout_all(&requests, ToolParams::default(), 1);
+    let serial = suggest_layout_all(&requests, ToolParams::default(), 1, &Obs::disabled());
     for jobs in [2, 4] {
-        let parallel = suggest_layout_all(&requests, ToolParams::default(), jobs);
+        let parallel = suggest_layout_all(&requests, ToolParams::default(), jobs, &Obs::disabled());
         assert_eq!(serial.len(), parallel.len());
         for (a, b) in serial.iter().zip(&parallel) {
             let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
@@ -79,9 +81,9 @@ fn session_example_throughput_is_job_count_invariant() {
     let sdet = small_sdet();
     let machine = Machine::superdome(4);
     let layouts = baseline_layouts(&w, sdet.line_size);
-    let serial = measure_jobs(&w, &layouts, &machine, &sdet, 4, 1);
+    let serial = measure(&w, &layouts, &machine, &sdet, 4, 1);
     for jobs in [2, 4, 16] {
-        let parallel = measure_jobs(&w, &layouts, &machine, &sdet, 4, jobs);
+        let parallel = measure(&w, &layouts, &machine, &sdet, 4, jobs);
         // Bit-identical, not approximately equal: same seeds, same runs,
         // same order.
         assert_eq!(serial.runs, parallel.runs, "jobs={jobs}");
@@ -123,7 +125,7 @@ fn sharded_streaming_is_job_count_invariant() {
     // to the batch estimator at every fan-out, like every other `jobs`
     // entry point in this file.
     for jobs in [1, 2, 3, 8] {
-        let (streamed, stats) = shard_concurrency(&dir, cfg, jobs).unwrap();
+        let (streamed, stats) = shard_concurrency(&dir, cfg, jobs, &Obs::disabled()).unwrap();
         assert_eq!(stats.samples, 4_000, "jobs={jobs}");
         assert_eq!(stats.shards_skipped, 0, "jobs={jobs}");
         assert_eq!(streamed, batch, "jobs={jobs}");
@@ -152,10 +154,17 @@ fn kernel_figures_are_job_count_invariant() {
         ..Default::default()
     };
 
-    let serial_layouts =
-        compute_paper_layouts_jobs(&kernel, &sdet, &acfg, ToolParams::default(), 1);
-    let parallel_layouts =
-        compute_paper_layouts_jobs(&kernel, &sdet, &acfg, ToolParams::default(), 4);
+    let derive = |jobs| {
+        compute_paper_layouts_jobs_obs(
+            &kernel,
+            &sdet,
+            &acfg,
+            ToolParams::default(),
+            jobs,
+            &Obs::disabled(),
+        )
+    };
+    let (serial_layouts, parallel_layouts) = (derive(1), derive(4));
     for (_, rec) in kernel.records.all() {
         for kind in [
             LayoutKind::Tool,
@@ -172,26 +181,24 @@ fn kernel_figures_are_job_count_invariant() {
 
     let machine = Machine::superdome(4);
     let kinds = [LayoutKind::Tool, LayoutKind::SortByHotness];
-    let serial = figure_rows_jobs(
-        &kernel,
-        &machine,
-        &sdet,
-        2,
-        &serial_layouts,
-        &kinds,
-        "figure",
-        1,
-    );
-    let parallel = figure_rows_jobs(
-        &kernel,
-        &machine,
-        &sdet,
-        2,
-        &parallel_layouts,
-        &kinds,
-        "figure",
-        4,
-    );
+    let measure_figure = |jobs, layouts| {
+        figure(
+            &ExecCtx::bare(jobs),
+            "figure",
+            &kernel,
+            &machine,
+            &sdet,
+            2,
+            layouts,
+            &kinds,
+            "figure",
+        )
+        .expect("no checkpoint, so no I/O")
+        .figure
+        .expect("no fault plan, so no holes")
+    };
+    let serial = measure_figure(1, &serial_layouts);
+    let parallel = measure_figure(4, &parallel_layouts);
     // The whole experiment summary — baseline runs, every row, every
     // percentage — must render identically.
     assert_eq!(serial.baseline.runs, parallel.baseline.runs);

@@ -13,6 +13,7 @@ use slopt::sample::{concurrency_map, cycle_loss, ConcurrencyConfig, Sampler, Sam
 use slopt::sim::{
     CacheConfig, EngineConfig, Invocation, LatencyModel, LayoutTable, MemSystem, Script, Topology,
 };
+use slopt_obs::Obs;
 
 /// Builds a record with `n` u64 fields.
 fn record_u64(name: &str, n: usize) -> RecordType {
@@ -122,7 +123,14 @@ fn run_and_suggest(bench: &Bench) -> slopt::core::Suggestion {
     let cm = concurrency_map(sampler.samples(), &ConcurrencyConfig { interval: 1_000 });
     let fmf = FieldMap::build(&bench.program);
     let loss = cycle_loss(&cm, &fmf, bench.rec);
-    suggest_layout(&ty, &affinity, Some(&loss), ToolParams::default()).expect("valid record")
+    suggest_layout(
+        &ty,
+        &affinity,
+        Some(&loss),
+        ToolParams::default(),
+        &Obs::disabled(),
+    )
+    .expect("valid record")
 }
 
 #[test]

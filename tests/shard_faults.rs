@@ -5,8 +5,7 @@
 
 use slopt_obs::Obs;
 use slopt_sample::{
-    concurrency_map, read_shard, shard_concurrency, shard_concurrency_obs, ConcurrencyConfig,
-    ShardError, ShardReader,
+    concurrency_map, read_shard, shard_concurrency, ConcurrencyConfig, ShardError, ShardReader,
 };
 use std::path::{Path, PathBuf};
 
@@ -61,7 +60,8 @@ fn corpus_reader_classifies_every_fault() {
 #[test]
 fn corpus_ingestion_skips_faults_and_matches_survivors() {
     let dir = corpus_dir();
-    let (map, stats) = shard_concurrency(&dir, CFG, 2).expect("listing the corpus dir succeeds");
+    let (map, stats) =
+        shard_concurrency(&dir, CFG, 2, &Obs::disabled()).expect("listing the corpus dir succeeds");
     assert_eq!(stats.shards_ok, 2);
     assert_eq!(stats.shards_skipped, 4);
     assert_eq!(stats.shards_missing, 1);
@@ -85,7 +85,7 @@ fn corpus_ingestion_skips_faults_and_matches_survivors() {
 #[test]
 fn corpus_skips_surface_as_stats_warnings() {
     let obs = Obs::aggregating();
-    let (_, stats) = shard_concurrency_obs(&corpus_dir(), CFG, 1, &obs).unwrap();
+    let (_, stats) = shard_concurrency(&corpus_dir(), CFG, 1, &obs).unwrap();
     obs.finish();
     let summary = obs.summary();
     // Each skip reason is a warn.shard.skipped.<reason> counter — the
