@@ -26,6 +26,18 @@ echo "== slbench (the repo benchmark builds against these crates by path) =="
 cargo build --offline --release --manifest-path slbench/Cargo.toml
 cargo test --offline -q --manifest-path slbench/Cargo.toml
 
+echo "== slbench traced smoke (fig9 tables and sim.* totals vs slbench/expected/) =="
+# At the default seed slbench compares the figure table, the exact cell
+# means and the grid's sim.* totals with the committed files under
+# slbench/expected/, and reports "correct": false on any difference — so
+# every simulator change is checked against the committed figures here.
+SLBENCH_WD="$(mktemp -d /tmp/slopt_slbench.XXXXXX)"
+SLBENCH_OUT="$(cargo run --offline --release --manifest-path slbench/Cargo.toml -- \
+    --workload fig9_bus4 --seed 0 --seconds 5 --trace 1 --work-dir "$SLBENCH_WD")"
+echo "$SLBENCH_OUT" | grep -q '"correct": true' \
+    || { echo "slbench: fig9_bus4 outputs differ from slbench/expected/"; echo "$SLBENCH_OUT" | tail -1; exit 1; }
+rm -rf "$SLBENCH_WD"
+
 echo "== cargo test (whole workspace) =="
 cargo test --offline -q --workspace
 

@@ -1,8 +1,8 @@
 //! `perf_report` — the self-reporting performance harness.
 //!
-//! Runs four microbenches over the repo's hot paths, each old-vs-new
-//! against the retained reference implementations on identical seeds, and
-//! writes `BENCH_sim.json`:
+//! Runs five microbenches over the repo's hot paths, each old-vs-new
+//! against the retained reference implementations on identical seeds,
+//! plus one end-to-end figure grid, and writes `BENCH_sim.json`:
 //!
 //! 1. **cc_stream** — sharded streaming Code Concurrency
 //!    (`shard_concurrency` over `slopt-shard/1` files) vs the *retained*
@@ -19,9 +19,12 @@
 //!    The bench also records `batch_peak_rss_kb` (sampled after the
 //!    reference reps) so the report carries the peak-memory comparison
 //!    the streaming path exists for.
-//! 2. **engine** — full SDET runs with the dense paged coherence
+//! 2. **engine** — full SDET runs (64-way, sized so one `--quick` rep
+//!    simulates for at least 50 ms) with the dense paged coherence
 //!    directory vs the reference `HashMap` directory
-//!    (`MemSystem::set_reference_directory`).
+//!    (`MemSystem::set_reference_directory`). Both must agree on the
+//!    makespan, the scripts done, all six access-class counters and the
+//!    invalidation, writeback and state-transition counts.
 //! 3. **cc** — `concurrency_map` (interned lines + flat count tensor) vs
 //!    `concurrency_map_naive` (triple-nested maps) on one synthetic
 //!    sample stream.
@@ -39,6 +42,12 @@
 //!    `speedup_vs_reference`); `perf_guard --require-speedup
 //!    search_delta:20` enforces the floor. Both sides are serial, so
 //!    the floor is never host-core-skipped.
+//! 6. **fig9_e2e** — an end-to-end row: the Figure 9 grid (every layout
+//!    table × warm-up + measured runs on the 4-way bus) run serially,
+//!    one whole grid per rep, at the default figure scale under
+//!    `--quick`. It has no reference column; it reports wall seconds
+//!    plus `sim_accesses_per_s` and `sim_steps_per_s`, and enters the
+//!    `perf_guard` regression gate like every other row.
 //!
 //! Every comparison asserts bit-identical results before timing is
 //! trusted; an equivalence failure aborts with a non-zero exit. Speedups
@@ -66,9 +75,10 @@
 //! same deterministic log2 `slopt_obs::Histogram` the profiling layer
 //! uses for span durations, so the committed baseline carries tail
 //! behavior alongside the trimmed mean and `trace_diff` deltas can be
-//! read against the same quantile rule. All earlier fields are
-//! unchanged, so /1–/4 consumers can read /5 reports by ignoring the
-//! new fields.
+//! read against the same quantile rule. Version 6 adds the `fig9_e2e`
+//! row and its `sim_accesses_per_s` / `sim_steps_per_s` fields. All
+//! earlier fields are unchanged, so /1–/5 consumers can read /6 reports
+//! by ignoring the new fields.
 
 use slopt_bench::CommonArgs;
 use slopt_core::{canonical_cluster_sum, cluster, DeltaObjective, Flg, FlgRef, Move};
@@ -80,10 +90,12 @@ use slopt_obs::Obs;
 use slopt_sample::{
     concurrency_map, concurrency_map_naive, concurrency_map_reference, ConcurrencyConfig, Sample,
 };
-use slopt_sim::{CacheConfig, CpuId, EngineConfig, MemSystem, NullObserver};
+use slopt_sim::{
+    AccessClass, CacheConfig, ClassCounts, CpuId, EngineConfig, MemSystem, NullObserver,
+};
 use slopt_workload::{
-    build_kernel, build_scripts, measurement_seeds, Instances, Kernel, Machine, SdetConfig,
-    WorkloadSpec,
+    build_kernel, build_scripts, compute_paper_layouts_jobs_obs, figure_tables, measurement_seeds,
+    run_once, Instances, Kernel, LayoutKind, Machine, SdetConfig, WorkloadSpec,
 };
 use std::time::Instant;
 
@@ -149,6 +161,15 @@ struct BenchResult {
     /// `search_delta` only: per-proposal cost ratio of the full-rescore
     /// reference over delta evaluation (the number `perf_guard` floors).
     delta_full_ratio: Option<f64>,
+    /// End-to-end rows only: simulated accesses and engine steps per
+    /// wall-clock second over all dense reps.
+    sim_rates: Option<SimRates>,
+}
+
+/// Simulator throughput of an end-to-end row.
+struct SimRates {
+    accesses_per_s: f64,
+    steps_per_s: f64,
 }
 
 /// The process's peak resident set size in kilobytes, from the `VmHWM`
@@ -337,10 +358,23 @@ fn bench_cc_stream(args: &Args) -> BenchResult {
         peak_rss_kb: stream_rss,
         batch_peak_rss_kb: batch_rss,
         delta_full_ratio: None,
+        sim_rates: None,
     }
 }
 
 // ---------------------------------------------------------------- engine
+
+/// What the dense and reference directories must agree on for one run:
+/// the engine outcome and every memory-system counter.
+#[derive(Debug, PartialEq)]
+struct EngineFingerprint {
+    makespan: u64,
+    scripts: u64,
+    classes: [ClassCounts; AccessClass::ALL.len()],
+    invalidations: u64,
+    writebacks: u64,
+    state_transitions: u64,
+}
 
 /// One full SDET run with the directory kind chosen up front; returns the
 /// engine fingerprint used for the dense-vs-reference equivalence check.
@@ -350,7 +384,7 @@ fn engine_run(
     cfg: &SdetConfig,
     seed: u64,
     reference: bool,
-) -> (u64, u64, u64) {
+) -> EngineFingerprint {
     let cpus = machine.cpus();
     let layouts = slopt_workload::baseline_layouts(kernel, cfg.line_size);
     let instances = Instances::allocate(kernel, &layouts, cpus, cfg);
@@ -371,17 +405,24 @@ fn engine_run(
         &mut NullObserver,
     )
     .expect("finite workload exceeded engine step bound");
-    (
-        result.makespan,
-        result.scripts_done as u64,
-        mem.stats().accesses(),
-    )
+    let stats = mem.stats();
+    EngineFingerprint {
+        makespan: result.makespan,
+        scripts: result.scripts_done,
+        classes: AccessClass::ALL.map(|c| stats.class(c)),
+        invalidations: stats.invalidations,
+        writebacks: stats.writebacks,
+        state_transitions: stats.state_transitions,
+    }
 }
 
 fn bench_engine(args: &Args) -> BenchResult {
+    // Sized so one --quick rep simulates for at least 50 ms on a 2-core
+    // x86-64 host: shorter reps time the allocator and the scheduler more
+    // than the engine.
     let kernel = build_kernel();
     let cfg = SdetConfig {
-        scripts_per_cpu: if args.quick { 8 } else { 24 },
+        scripts_per_cpu: if args.quick { 64 } else { 256 },
         pool_instances: if args.quick { 64 } else { 256 },
         cache: CacheConfig {
             line_size: 128,
@@ -390,7 +431,7 @@ fn bench_engine(args: &Args) -> BenchResult {
         },
         ..SdetConfig::default()
     };
-    let machine = Machine::superdome(16);
+    let machine = Machine::superdome(64);
     let runs = if args.quick { 3 } else { 6 };
     let seeds = measurement_seeds(runs);
 
@@ -428,7 +469,7 @@ fn bench_engine(args: &Args) -> BenchResult {
     BenchResult {
         name: "engine",
         work: format!(
-            "sdet 16-way, {} scripts/cpu, {} seeds",
+            "sdet 64-way, {} scripts/cpu, {} seeds",
             cfg.scripts_per_cpu,
             seeds.len()
         ),
@@ -440,6 +481,82 @@ fn bench_engine(args: &Args) -> BenchResult {
         peak_rss_kb: peak_rss_kb(),
         batch_peak_rss_kb: None,
         delta_full_ratio: None,
+        sim_rates: None,
+    }
+}
+
+// --------------------------------------------------------------- fig9_e2e
+
+fn bench_fig9_e2e(args: &Args) -> BenchResult {
+    // The Figure 9 grid end to end and serial, as the fig9 binary runs it
+    // at `--jobs 1`: every layout table × (warm-up + measured runs) on the
+    // 4-way bus. Layout derivation (the 16-way measurement run) happens
+    // once, outside the timed region; each rep is one whole grid.
+    let setup = slopt_bench::default_figure_setup(if args.quick { 1 } else { 4 });
+    let layouts = compute_paper_layouts_jobs_obs(
+        &setup.kernel,
+        &setup.sdet,
+        &setup.analysis,
+        setup.tool,
+        1,
+        &Obs::disabled(),
+    );
+    let kinds = [LayoutKind::Tool, LayoutKind::SortByHotness];
+    let (tables, _) = figure_tables(&setup.kernel, &setup.sdet, &layouts, &kinds);
+    let machine = Machine::bus(4);
+    let seeds = measurement_seeds(setup.runs);
+    let reps = 3;
+
+    let mut dense_s = Vec::new();
+    let mut totals: Option<(u64, u64)> = None;
+    for _ in 0..reps {
+        let ((accesses, steps), td) = time(|| {
+            let (mut accesses, mut steps) = (0u64, 0u64);
+            for table in &tables {
+                for &seed in &seeds {
+                    let run = run_once(
+                        &setup.kernel,
+                        table,
+                        &machine,
+                        &setup.sdet,
+                        seed,
+                        &mut NullObserver,
+                    );
+                    accesses += run.stats.accesses();
+                    steps += run.result.steps;
+                }
+            }
+            (accesses, steps)
+        });
+        dense_s.push(td);
+        assert_eq!(
+            *totals.get_or_insert((accesses, steps)),
+            (accesses, steps),
+            "fig9 grid is not deterministic across reps"
+        );
+    }
+    let (accesses, steps) = totals.expect("at least one rep");
+    let wall: f64 = dense_s.iter().sum();
+    BenchResult {
+        name: "fig9_e2e",
+        work: format!(
+            "fig9 grid serial, {} tables x {} runs (+warm-up), {} scripts/cpu",
+            tables.len(),
+            setup.runs,
+            setup.sdet.scripts_per_cpu
+        ),
+        reps,
+        dense_s,
+        reference_s: Vec::new(),
+        dense_jobs_s: None,
+        jobs: args.jobs,
+        peak_rss_kb: peak_rss_kb(),
+        batch_peak_rss_kb: None,
+        delta_full_ratio: None,
+        sim_rates: Some(SimRates {
+            accesses_per_s: (accesses * reps as u64) as f64 / wall,
+            steps_per_s: (steps * reps as u64) as f64 / wall,
+        }),
     }
 }
 
@@ -499,6 +616,7 @@ fn bench_cc(args: &Args) -> BenchResult {
         peak_rss_kb: peak_rss_kb(),
         batch_peak_rss_kb: None,
         delta_full_ratio: None,
+        sim_rates: None,
     }
 }
 
@@ -567,6 +685,7 @@ fn bench_flg_cluster(args: &Args) -> BenchResult {
         peak_rss_kb: peak_rss_kb(),
         batch_peak_rss_kb: None,
         delta_full_ratio: None,
+        sim_rates: None,
     }
 }
 
@@ -705,6 +824,7 @@ fn bench_search_delta(args: &Args) -> BenchResult {
         peak_rss_kb: peak_rss_kb(),
         batch_peak_rss_kb: None,
         delta_full_ratio: None,
+        sim_rates: None,
     };
     r.delta_full_ratio = r.speedup();
     r
@@ -758,6 +878,16 @@ fn write_report(path: &str, args: &Args, results: &[BenchResult]) -> std::io::Re
         if let Some(ratio) = r.delta_full_ratio {
             fields.push(format!("      \"delta_full_ratio\": {ratio:.3}"));
         }
+        if let Some(rates) = &r.sim_rates {
+            fields.push(format!(
+                "      \"sim_accesses_per_s\": {:.0}",
+                rates.accesses_per_s
+            ));
+            fields.push(format!(
+                "      \"sim_steps_per_s\": {:.0}",
+                rates.steps_per_s
+            ));
+        }
         if let Some(kb) = r.peak_rss_kb {
             fields.push(format!("      \"peak_rss_kb\": {kb}"));
         }
@@ -775,7 +905,7 @@ fn write_report(path: &str, args: &Args, results: &[BenchResult]) -> std::io::Re
         benches.push(format!("    {{\n{}\n    }}", fields.join(",\n")));
     }
     let doc = format!(
-        "{{\n  \"schema\": \"slopt-perf-report/5\",\n  \"quick\": {},\n  \"jobs\": {},\n  \"host_cores\": {},\n  \"equivalence_checked\": {},\n  \"benches\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"schema\": \"slopt-perf-report/6\",\n  \"quick\": {},\n  \"jobs\": {},\n  \"host_cores\": {},\n  \"equivalence_checked\": {},\n  \"benches\": [\n{}\n  ]\n}}\n",
         args.quick,
         args.jobs,
         host_cores(),
@@ -809,6 +939,7 @@ fn main() {
         bench_cc(&args),
         bench_flg_cluster(&args),
         bench_search_delta(&args),
+        bench_fig9_e2e(&args),
     ];
 
     for r in &results {

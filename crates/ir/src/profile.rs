@@ -7,12 +7,12 @@
 //! engine in `slopt-sim`.
 
 use crate::cfg::{BlockId, FuncId};
-use std::collections::HashMap;
 
-/// Block execution counts for a program.
+/// Block execution counts for a program, stored densely: one count per
+/// block, in one vector per function, both grown on first use.
 #[derive(Clone, Debug, Default)]
 pub struct Profile {
-    counts: HashMap<(FuncId, BlockId), u64>,
+    counts: Vec<Vec<u64>>,
 }
 
 impl Profile {
@@ -22,30 +22,53 @@ impl Profile {
     }
 
     /// Adds `n` executions of `block` in `func`.
+    #[inline]
     pub fn record(&mut self, func: FuncId, block: BlockId, n: u64) {
-        *self.counts.entry((func, block)).or_insert(0) += n;
+        let f = func.0 as usize;
+        if f >= self.counts.len() {
+            self.counts.resize_with(f + 1, Vec::new);
+        }
+        let blocks = &mut self.counts[f];
+        let b = block.index();
+        if b >= blocks.len() {
+            blocks.resize(b + 1, 0);
+        }
+        blocks[b] += n;
     }
 
     /// Execution count of `block` in `func` (0 if never executed).
     pub fn count(&self, func: FuncId, block: BlockId) -> u64 {
-        self.counts.get(&(func, block)).copied().unwrap_or(0)
+        self.counts
+            .get(func.0 as usize)
+            .and_then(|blocks| blocks.get(block.index()))
+            .copied()
+            .unwrap_or(0)
     }
 
     /// Merges another profile into this one (summing counts).
     pub fn merge(&mut self, other: &Profile) {
-        for (&k, &v) in &other.counts {
-            *self.counts.entry(k).or_insert(0) += v;
+        for ((func, block), n) in other.iter() {
+            self.record(func, block, n);
         }
     }
 
     /// Total number of block executions recorded.
     pub fn total(&self) -> u64 {
-        self.counts.values().sum()
+        self.counts.iter().flatten().sum()
     }
 
-    /// Iterates over `((FuncId, BlockId), count)` in unspecified order.
+    /// Iterates over `((FuncId, BlockId), count)` for every block with a
+    /// non-zero count, in ascending `(func, block)` order. These are
+    /// exactly the pairs recorded with a non-zero `n`; recording zero
+    /// executions adds nothing.
     pub fn iter(&self) -> impl Iterator<Item = ((FuncId, BlockId), u64)> + '_ {
-        self.counts.iter().map(|(&k, &v)| (k, v))
+        self.counts.iter().enumerate().flat_map(|(f, blocks)| {
+            blocks
+                .iter()
+                .enumerate()
+                .filter(|&(_, &n)| n > 0)
+                .map(move |(b, &n)| ((FuncId(f as u32), BlockId(b as u32)), n))
+        })
     }
 }
 
@@ -78,5 +101,46 @@ mod tests {
         assert_eq!(a.count(FuncId(0), BlockId(0)), 3);
         assert_eq!(a.count(FuncId(1), BlockId(3)), 4);
         assert_eq!(a.iter().count(), 2);
+    }
+
+    #[test]
+    fn merge_across_different_function_counts() {
+        let mut narrow = Profile::new();
+        narrow.record(FuncId(0), BlockId(2), 5);
+        let mut wide = Profile::new();
+        wide.record(FuncId(0), BlockId(0), 1);
+        wide.record(FuncId(7), BlockId(9), 3);
+
+        let mut a = narrow.clone();
+        a.merge(&wide);
+        let mut b = wide.clone();
+        b.merge(&narrow);
+        for p in [&a, &b] {
+            assert_eq!(p.count(FuncId(0), BlockId(0)), 1);
+            assert_eq!(p.count(FuncId(0), BlockId(2)), 5);
+            assert_eq!(p.count(FuncId(7), BlockId(9)), 3);
+            assert_eq!(p.count(FuncId(3), BlockId(0)), 0);
+            assert_eq!(p.total(), 9);
+        }
+        assert_eq!(a.iter().collect::<Vec<_>>(), b.iter().collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn iter_yields_exactly_the_recorded_pairs_in_order() {
+        let recorded = [
+            ((FuncId(4), BlockId(1)), 2),
+            ((FuncId(0), BlockId(3)), 1),
+            ((FuncId(4), BlockId(0)), 6),
+            ((FuncId(2), BlockId(7)), 9),
+        ];
+        let mut p = Profile::new();
+        for &((f, b), n) in &recorded {
+            p.record(f, b, n);
+        }
+        // Zero executions record nothing.
+        p.record(FuncId(9), BlockId(9), 0);
+        let mut expected = recorded.to_vec();
+        expected.sort();
+        assert_eq!(p.iter().collect::<Vec<_>>(), expected);
     }
 }

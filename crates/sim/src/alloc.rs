@@ -8,7 +8,6 @@
 
 use slopt_ir::layout::StructLayout;
 use slopt_ir::types::{FieldIdx, RecordId};
-use std::collections::HashMap;
 
 /// A bump allocator that aligns every allocation to a cache line.
 #[derive(Clone, Debug)]
@@ -60,10 +59,11 @@ impl Arena {
     }
 }
 
-/// Record type → concrete layout for the current experiment.
+/// Record type → concrete layout for the current experiment, indexed by
+/// [`RecordId`].
 #[derive(Clone, Debug, Default)]
 pub struct LayoutTable {
-    layouts: HashMap<RecordId, StructLayout>,
+    layouts: Vec<Option<StructLayout>>,
 }
 
 impl LayoutTable {
@@ -74,7 +74,11 @@ impl LayoutTable {
 
     /// Sets (or replaces) the layout used for `record`.
     pub fn set(&mut self, record: RecordId, layout: StructLayout) {
-        self.layouts.insert(record, layout);
+        let idx = record.0 as usize;
+        if idx >= self.layouts.len() {
+            self.layouts.resize_with(idx + 1, || None);
+        }
+        self.layouts[idx] = Some(layout);
     }
 
     /// The layout for `record`.
@@ -83,15 +87,16 @@ impl LayoutTable {
     ///
     /// Panics if no layout was registered — running an experiment without
     /// choosing a layout for an accessed record is a setup bug.
+    #[inline]
     pub fn layout(&self, record: RecordId) -> &StructLayout {
-        self.layouts
-            .get(&record)
+        self.get(record)
             .unwrap_or_else(|| panic!("no layout registered for {record}"))
     }
 
     /// The layout for `record`, if registered.
+    #[inline]
     pub fn get(&self, record: RecordId) -> Option<&StructLayout> {
-        self.layouts.get(&record)
+        self.layouts.get(record.0 as usize)?.as_ref()
     }
 
     /// Byte address of `field` in the instance of `record` based at `base`.
@@ -105,12 +110,12 @@ impl LayoutTable {
 
     /// Number of registered layouts.
     pub fn len(&self) -> usize {
-        self.layouts.len()
+        self.layouts.iter().flatten().count()
     }
 
     /// Whether the table is empty.
     pub fn is_empty(&self) -> bool {
-        self.layouts.is_empty()
+        self.len() == 0
     }
 }
 
@@ -155,6 +160,35 @@ mod tests {
         let base = a.alloc_record(t.layout(RecordId(0)));
         assert_eq!(t.field_addr(RecordId(0), base, FieldIdx(1)), base + 8);
         assert!(t.get(RecordId(1)).is_none());
+    }
+
+    #[test]
+    fn layout_table_replacement_and_sparse_ids() {
+        let rec = RecordType::new(
+            "S",
+            vec![
+                ("a", FieldType::Prim(PrimType::U64)),
+                ("b", FieldType::Prim(PrimType::U64)),
+            ],
+        );
+        let packed = StructLayout::declaration_order(&rec, 128).unwrap();
+        let mut t = LayoutTable::new();
+        t.set(RecordId(5), packed.clone());
+        assert_eq!(t.len(), 1);
+        // Replacing a layout keeps one entry and serves the new layout.
+        let split =
+            StructLayout::from_groups(&rec, &[vec![FieldIdx(0)], vec![FieldIdx(1)]], 128).unwrap();
+        assert_ne!(split, packed);
+        t.set(RecordId(5), split.clone());
+        assert_eq!(t.len(), 1);
+        assert_eq!(t.layout(RecordId(5)), &split);
+        // Ids below a registered one stay unregistered.
+        for r in [0, 4, 6] {
+            assert!(t.get(RecordId(r)).is_none());
+        }
+        t.set(RecordId(0), packed);
+        assert_eq!(t.len(), 2);
+        assert!(!t.is_empty());
     }
 
     #[test]

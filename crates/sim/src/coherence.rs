@@ -1,6 +1,7 @@
 //! Directory-based MESI coherence with false-sharing classification.
 //!
-//! [`MemSystem`] owns one [`Cache`] per CPU plus a global directory. Every
+//! [`MemSystem`] owns the per-CPU caches (one [`Cache`] slab) plus a
+//! global directory. Every
 //! access is priced in cycles using the machine's [`LatencyModel`]:
 //!
 //! * hits cost the hit latency;
@@ -246,7 +247,7 @@ pub struct MemSystem {
     topo: Topology,
     lat: LatencyModel,
     cfg: CacheConfig,
-    caches: Vec<Cache>,
+    cache: Cache,
     dir: Directory,
     ever_cached: Vec<LineSet>,
     stats: MemStats,
@@ -269,7 +270,7 @@ impl MemSystem {
             topo,
             lat,
             cfg,
-            caches: (0..n).map(|_| Cache::new(cfg)).collect(),
+            cache: Cache::new(cfg, n),
             dir: Directory::Dense(DenseDirectory::default()),
             ever_cached: (0..n).map(|_| LineSet::default()).collect(),
             stats: MemStats::new(),
@@ -341,6 +342,11 @@ impl MemSystem {
         &self.topo
     }
 
+    /// The per-CPU caches.
+    pub fn cache(&self) -> &Cache {
+        &self.cache
+    }
+
     /// Accumulated statistics.
     pub fn stats(&self) -> &MemStats {
         &self.stats
@@ -356,7 +362,8 @@ impl MemSystem {
     ///
     /// # Panics
     ///
-    /// Panics if `size` is zero or if `cpu` is out of range.
+    /// Panics if `size` is zero, if `addr + size` wraps past the end of
+    /// the address space, or if `cpu` is out of range.
     pub fn access(
         &mut self,
         cpu: CpuId,
@@ -367,7 +374,11 @@ impl MemSystem {
         now: u64,
     ) -> u64 {
         assert!(size > 0, "zero-size access");
-        assert!(cpu.index() < self.caches.len(), "cpu {cpu} out of range");
+        assert!(
+            size <= u64::MAX - addr,
+            "access of {size} bytes at {addr:#x} wraps the address space"
+        );
+        assert!(cpu.index() < self.cache.cpus(), "cpu {cpu} out of range");
         let line_size = self.cfg.line_size;
         let mut total = 0;
         let mut cursor = addr;
@@ -400,7 +411,7 @@ impl MemSystem {
         if line >= DENSE_LINE_LIMIT {
             self.stats.dir_overflow_hits += 1;
         }
-        let state = self.caches[cpu.index()].lookup(line);
+        let state = self.cache.lookup(cpu.index(), line);
         match state {
             Some(Mesi::Modified) => {
                 if write {
@@ -410,7 +421,7 @@ impl MemSystem {
             }
             Some(Mesi::Exclusive) => {
                 if write {
-                    self.caches[cpu.index()].set_state(line, Mesi::Modified);
+                    self.cache.set_state(cpu.index(), line, Mesi::Modified);
                     self.stats.state_transitions += 1;
                     let entry = self.dir.entry_mut(line);
                     entry.owner = Some(cpu.0);
@@ -461,7 +472,7 @@ impl MemSystem {
                 rest &= rest - 1;
                 let d = self.topo.distance(cpu, CpuId(v));
                 inval_lat = inval_lat.max(self.lat.transfer(d));
-                self.caches[v as usize].invalidate(line);
+                self.cache.invalidate(v as usize, line);
                 self.stats.state_transitions += 1;
                 killed += 1;
             }
@@ -476,7 +487,7 @@ impl MemSystem {
         let entry = self.dir.probe_mut(line).expect("entry exists");
         entry.owner = Some(cpu.0);
         entry.sharers = cpu_bit(cpu);
-        self.caches[cpu.index()].set_state(line, Mesi::Modified);
+        self.cache.set_state(cpu.index(), line, Mesi::Modified);
         self.stats.state_transitions += 1;
         self.stats.invalidations += killed;
         self.note_write(cpu, line, mask);
@@ -576,7 +587,7 @@ impl MemSystem {
                 rest &= rest - 1;
                 let d = self.topo.distance(cpu, CpuId(v));
                 inval_lat = inval_lat.max(self.lat.transfer(d));
-                if self.caches[v as usize].invalidate(line) == Some(Mesi::Modified) {
+                if self.cache.invalidate(v as usize, line) == Some(Mesi::Modified) {
                     self.stats.writebacks += 1;
                 }
                 self.stats.invalidations += 1;
@@ -603,10 +614,10 @@ impl MemSystem {
         } else {
             // Read: demote an owner to Shared.
             if let Some(o) = owner {
-                if self.caches[o as usize].peek(line) == Some(Mesi::Modified) {
+                if self.cache.peek(o as usize, line) == Some(Mesi::Modified) {
                     self.stats.writebacks += 1;
                 }
-                self.caches[o as usize].set_state(line, Mesi::Shared);
+                self.cache.set_state(o as usize, line, Mesi::Shared);
                 self.stats.state_transitions += 1;
             }
             let protocol = self.protocol;
@@ -641,7 +652,7 @@ impl MemSystem {
     fn insert_line(&mut self, cpu: CpuId, line: u64, state: Mesi) {
         // The inserted line leaves Invalid; an evicted victim enters it.
         self.stats.state_transitions += 1;
-        if let Some((victim, vstate)) = self.caches[cpu.index()].insert(line, state) {
+        if let Some((victim, vstate)) = self.cache.insert(cpu.index(), line, state) {
             self.stats.state_transitions += 1;
             if vstate == Mesi::Modified {
                 self.stats.writebacks += 1;
@@ -669,14 +680,14 @@ impl MemSystem {
                     1u128 << o,
                     "line {line:#x}: owner {o} must be the only sharer"
                 );
-                let st = self.caches[o as usize].peek(line);
+                let st = self.cache.peek(o as usize, line);
                 assert!(
                     matches!(st, Some(Mesi::Modified) | Some(Mesi::Exclusive)),
                     "line {line:#x}: owner {o} cache state {st:?}"
                 );
             }
             for c in 0..self.topo.cpu_count() {
-                let has = self.caches[c].peek(line).is_some();
+                let has = self.cache.peek(c, line).is_some();
                 let marked = entry.sharers & (1u128 << c) != 0;
                 assert_eq!(
                     has, marked,
@@ -684,7 +695,7 @@ impl MemSystem {
                 );
                 if has && entry.owner != Some(c as u16) {
                     assert_eq!(
-                        self.caches[c].peek(line),
+                        self.cache.peek(c, line),
                         Some(Mesi::Shared),
                         "line {line:#x}: non-owner cpu {c} must be Shared"
                     );
@@ -960,6 +971,21 @@ mod tests {
         m.access(CpuId(1), 64, 8, true, REC, 0);
         m.access(CpuId(0), 0, 8, false, REC, 0);
         assert!(m.sharing_events().is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "wraps the address space")]
+    fn wrapping_access_rejected() {
+        let mut m = system(1);
+        m.access(CpuId(0), u64::MAX - 3, 8, false, REC, 0);
+    }
+
+    #[test]
+    fn access_ending_at_the_top_of_the_address_space_is_priced() {
+        let mut m = system(1);
+        let lat = m.access(CpuId(0), u64::MAX - 8, 8, false, REC, 0);
+        assert_eq!(lat, LatencyModel::superdome().memory);
+        assert_eq!(m.stats().accesses(), 1);
     }
 
     #[test]

@@ -12,17 +12,17 @@ proptest! {
         lines in prop::collection::vec(0u64..64, 1..200),
     ) {
         let cfg = CacheConfig { line_size: 64, sets: 4, ways: 2 };
-        let mut c = Cache::new(cfg);
+        let mut c = Cache::new(cfg, 1);
         for &l in &lines {
-            if c.lookup(l).is_none() {
-                c.insert(l, Mesi::Shared);
+            if c.lookup(0, l).is_none() {
+                c.insert(0, l, Mesi::Shared);
             }
-            prop_assert!(c.resident() <= cfg.sets * cfg.ways);
+            prop_assert!(c.resident(0) <= cfg.sets * cfg.ways);
         }
         // Everything resident is findable.
         for &l in &lines {
-            if let Some(state) = c.peek(l) {
-                prop_assert_eq!(c.lookup(l), Some(state));
+            if let Some(state) = c.peek(0, l) {
+                prop_assert_eq!(c.lookup(0, l), Some(state));
             }
         }
     }
