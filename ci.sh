@@ -38,6 +38,17 @@ echo "$SLBENCH_OUT" | grep -q '"correct": true' \
     || { echo "slbench: fig9_bus4 outputs differ from slbench/expected/"; echo "$SLBENCH_OUT" | tail -1; exit 1; }
 rm -rf "$SLBENCH_WD"
 
+echo "== slbench traced smoke (fig8 on 128 CPUs: scheduler tie order vs slbench/expected/) =="
+# The only committed check of the engine's (clock, cpu) tie order at 128
+# CPUs: a scheduler that broke one tie differently would move the fig8
+# table, its cell means or its sim.* totals (~10 s).
+SLBENCH_WD="$(mktemp -d /tmp/slopt_slbench.XXXXXX)"
+SLBENCH_OUT="$(cargo run --offline --release --manifest-path slbench/Cargo.toml -- \
+    --workload fig8_superdome128 --seed 0 --seconds 5 --trace 1 --work-dir "$SLBENCH_WD")"
+echo "$SLBENCH_OUT" | grep -q '"correct": true' \
+    || { echo "slbench: fig8_superdome128 outputs differ from slbench/expected/"; echo "$SLBENCH_OUT" | tail -1; exit 1; }
+rm -rf "$SLBENCH_WD"
+
 echo "== cargo test (whole workspace) =="
 cargo test --offline -q --workspace
 

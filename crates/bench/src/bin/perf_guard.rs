@@ -11,9 +11,14 @@
 //! When both reports carry `dense_trimmed_mean_s` (schema /3) the gate
 //! compares trimmed means — per-rep and outlier-robust, so it survives a
 //! rep-count change between baseline and fresh; older reports fall back
-//! to `dense_serial_total_s`. Reads `slopt-perf-report/1` through `/5`
+//! to `dense_serial_total_s`. Reads `slopt-perf-report/1` through `/7`
 //! (schema /5 adds advisory `dense_p50_s` / `dense_p99_s` quantiles,
 //! which the gate ignores — `trace_diff` is the tool for reading them).
+//! Schema /7 names each bench's `time_unit` (`wall_s`, or
+//! `reference_s` for the host-speed-normalized simulator rows; reports
+//! without the field are in wall seconds). A bench whose unit differs
+//! between baseline and fresh fails the gate instead of comparing
+//! seconds of two kinds.
 //!
 //! **Growth floors.** Beyond no-regression, the gate can enforce that a
 //! claimed win actually holds:
@@ -74,6 +79,8 @@ struct Report {
     totals: BTreeMap<String, f64>,
     /// `bench name -> dense_trimmed_mean_s` (schema /3 reports only).
     trimmed: BTreeMap<String, f64>,
+    /// `bench name -> time_unit` (`wall_s` where the field is absent).
+    units: BTreeMap<String, String>,
     /// `bench name -> speedup_vs_reference` where present.
     speedups: BTreeMap<String, f64>,
     /// `bench name -> delta_full_ratio` (schema /4) where present.
@@ -101,6 +108,7 @@ fn read_report(path: &str) -> Result<Report, String> {
     let mut report = Report {
         totals: BTreeMap::new(),
         trimmed: BTreeMap::new(),
+        units: BTreeMap::new(),
         speedups: BTreeMap::new(),
         delta_ratios: BTreeMap::new(),
         parallel: BTreeMap::new(),
@@ -116,6 +124,11 @@ fn read_report(path: &str) -> Result<Report, String> {
             .and_then(Json::as_f64)
             .ok_or_else(|| format!("{path}: bench {name} without dense_serial_total_s"))?;
         report.totals.insert(name.to_string(), total);
+        let unit = b
+            .get("time_unit")
+            .and_then(Json::as_str)
+            .unwrap_or("wall_s");
+        report.units.insert(name.to_string(), unit.to_string());
         if let Some(tm) = b.get("dense_trimmed_mean_s").and_then(Json::as_f64) {
             report.trimmed.insert(name.to_string(), tm);
         }
@@ -182,6 +195,15 @@ fn run() -> Result<(), String> {
             failed = true;
             continue;
         }
+        let (base_unit, now_unit) = (&baseline.units[name], &fresh.units[name]);
+        if base_unit != now_unit {
+            eprintln!(
+                "[perf_guard] {name:<12} baseline in {base_unit} but fresh in {now_unit}: \
+                 regenerate the baseline with the same perf_report"
+            );
+            failed = true;
+            continue;
+        }
         let (base, now, metric) = match (baseline.trimmed.get(name), fresh.trimmed.get(name)) {
             (Some(&b), Some(&n)) => (b, n, "trimmed mean"),
             _ => (base_total, fresh.totals[name], "total"),
@@ -189,8 +211,8 @@ fn run() -> Result<(), String> {
         let allowed = base * (1.0 + tolerance) + floor_s;
         let verdict = if now <= allowed { "ok" } else { "REGRESSED" };
         eprintln!(
-            "[perf_guard] {name:<12} baseline {base:.4}s now {now:.4}s \
-             (allowed <= {allowed:.4}s, {metric}) {verdict}"
+            "[perf_guard] {name:<12} baseline {base:.4} now {now:.4} \
+             (allowed <= {allowed:.4} {now_unit}, {metric}) {verdict}"
         );
         if now > allowed {
             failed = true;

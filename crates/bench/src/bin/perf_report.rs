@@ -2,7 +2,7 @@
 //!
 //! Runs five microbenches over the repo's hot paths, each old-vs-new
 //! against the retained reference implementations on identical seeds,
-//! plus one end-to-end figure grid, and writes `BENCH_sim.json`:
+//! plus two end-to-end figure grids, and writes `BENCH_sim.json`:
 //!
 //! 1. **cc_stream** — sharded streaming Code Concurrency
 //!    (`shard_concurrency` over `slopt-shard/1` files) vs the *retained*
@@ -45,9 +45,25 @@
 //! 6. **fig9_e2e** — an end-to-end row: the Figure 9 grid (every layout
 //!    table × warm-up + measured runs on the 4-way bus) run serially,
 //!    one whole grid per rep, at the default figure scale under
-//!    `--quick`. It has no reference column; it reports wall seconds
-//!    plus `sim_accesses_per_s` and `sim_steps_per_s`, and enters the
+//!    `--quick`. It has no reference column; it reports its time plus
+//!    `sim_accesses_per_s` and `sim_steps_per_s`, and enters the
 //!    `perf_guard` regression gate like every other row.
+//! 7. **fig8_e2e** — the same for the Figure 8 grid on the 128-way
+//!    Superdome, serial and scaled down (4 scripts per CPU and one
+//!    measured run under `--quick`; the `fig8` binary's default sizing
+//!    otherwise), sharing `fig9_e2e`'s layout derivation.
+//!
+//! **Host speed.** The serial timings of the simulator rows — `engine`
+//! (dense and reference), `fig9_e2e` and `fig8_e2e` — are in reference
+//! seconds: each rep's wall time with a co-pinned probe's share taken
+//! out, scaled by how fast a fixed kernel ran around it
+//! ([`slopt_bench::probe`], the same kernel as the repository
+//! benchmark's). A shared host's core speed moves up to 2× between
+//! minutes, which raw wall seconds pass straight into the 10 %
+//! regression gate. Those rows also report `dense_wall_total_s`; every
+//! row names its unit in `time_unit`. The parallel column is never
+//! normalized: the probe pins the measuring thread, so it is dropped
+//! before any fan-out.
 //!
 //! Every comparison asserts bit-identical results before timing is
 //! trusted; an equivalence failure aborts with a non-zero exit. Speedups
@@ -76,11 +92,16 @@
 //! uses for span durations, so the committed baseline carries tail
 //! behavior alongside the trimmed mean and `trace_diff` deltas can be
 //! read against the same quantile rule. Version 6 adds the `fig9_e2e`
-//! row and its `sim_accesses_per_s` / `sim_steps_per_s` fields. All
-//! earlier fields are unchanged, so /1–/5 consumers can read /6 reports
-//! by ignoring the new fields.
+//! row and its `sim_accesses_per_s` / `sim_steps_per_s` fields. Version
+//! 7 adds the `fig8_e2e` row, the per-bench `time_unit` (`"reference_s"`
+//! or `"wall_s"`) and `dense_wall_total_s` on the normalized rows; the
+//! `engine`, `fig9_e2e` and `fig8_e2e` timings (and their `sim_*_per_s`
+//! rates) are now per reference second. Field names are unchanged, so
+//! /1–/6 consumers can read /7 reports by ignoring the new fields, but a
+//! /7 time compared with a /6 one mixes units (`perf_guard` refuses).
 
-use slopt_bench::CommonArgs;
+use slopt_bench::probe::Probe;
+use slopt_bench::{CommonArgs, FigureSetup};
 use slopt_core::{canonical_cluster_sum, cluster, DeltaObjective, Flg, FlgRef, Move};
 use slopt_ir::cfg::{BlockId, FuncId};
 use slopt_ir::interp::SplitMix64;
@@ -95,7 +116,7 @@ use slopt_sim::{
 };
 use slopt_workload::{
     build_kernel, build_scripts, compute_paper_layouts_jobs_obs, figure_tables, measurement_seeds,
-    run_once, Instances, Kernel, LayoutKind, Machine, SdetConfig, WorkloadSpec,
+    run_once, Instances, Kernel, LayoutKind, Machine, PaperLayouts, SdetConfig, WorkloadSpec,
 };
 use std::time::Instant;
 
@@ -162,8 +183,11 @@ struct BenchResult {
     /// reference over delta evaluation (the number `perf_guard` floors).
     delta_full_ratio: Option<f64>,
     /// End-to-end rows only: simulated accesses and engine steps per
-    /// wall-clock second over all dense reps.
+    /// second (of `dense_s`'s unit) over all dense reps.
     sim_rates: Option<SimRates>,
+    /// Rows normalized to reference seconds only: per-rep wall clock of
+    /// the dense reps (empty for rows timed in wall seconds).
+    dense_wall_s: Vec<f64>,
 }
 
 /// Simulator throughput of an end-to-end row.
@@ -240,6 +264,15 @@ fn time<T>(f: impl FnOnce() -> T) -> (T, f64) {
     let t0 = Instant::now();
     let v = f();
     (v, t0.elapsed().as_secs_f64())
+}
+
+/// Runs `f` on the probe's pinned thread: its value, its time in
+/// reference seconds and its wall time.
+fn time_ref<T>(probe: &Probe, f: impl FnOnce() -> T) -> (T, f64, f64) {
+    let t0 = Instant::now();
+    let v = f();
+    let t1 = Instant::now();
+    (v, probe.normalize(t0, t1), (t1 - t0).as_secs_f64())
 }
 
 // ------------------------------------------------------------- cc_stream
@@ -359,6 +392,7 @@ fn bench_cc_stream(args: &Args) -> BenchResult {
         batch_peak_rss_kb: batch_rss,
         delta_full_ratio: None,
         sim_rates: None,
+        dense_wall_s: Vec::new(),
     }
 }
 
@@ -436,12 +470,16 @@ fn bench_engine(args: &Args) -> BenchResult {
     let seeds = measurement_seeds(runs);
 
     let mut dense_s = Vec::new();
+    let mut dense_wall_s = Vec::new();
     let mut reference_s = Vec::new();
+    let probe = Probe::start();
     for &seed in &seeds {
-        let (dense, td) = time(|| engine_run(&kernel, &machine, &cfg, seed, false));
+        let (dense, td, wd) = time_ref(&probe, || engine_run(&kernel, &machine, &cfg, seed, false));
         dense_s.push(td);
+        dense_wall_s.push(wd);
         if args.reference {
-            let (refr, tr) = time(|| engine_run(&kernel, &machine, &cfg, seed, true));
+            let (refr, tr, _) =
+                time_ref(&probe, || engine_run(&kernel, &machine, &cfg, seed, true));
             reference_s.push(tr);
             assert_eq!(
                 dense, refr,
@@ -449,6 +487,8 @@ fn bench_engine(args: &Args) -> BenchResult {
             );
         }
     }
+    // The probe pins this thread; the fan-out must not inherit the pin.
+    drop(probe);
 
     // The same dense runs fanned over host threads, for the parallel
     // wall-clock column.
@@ -482,16 +522,18 @@ fn bench_engine(args: &Args) -> BenchResult {
         batch_peak_rss_kb: None,
         delta_full_ratio: None,
         sim_rates: None,
+        dense_wall_s,
     }
 }
 
-// --------------------------------------------------------------- fig9_e2e
+// ------------------------------------------------------ fig9_e2e / fig8_e2e
 
-fn bench_fig9_e2e(args: &Args) -> BenchResult {
-    // The Figure 9 grid end to end and serial, as the fig9 binary runs it
-    // at `--jobs 1`: every layout table × (warm-up + measured runs) on the
-    // 4-way bus. Layout derivation (the 16-way measurement run) happens
-    // once, outside the timed region; each rep is one whole grid.
+/// A figure setup with the layouts its grids compare.
+type Derived = (FigureSetup, PaperLayouts);
+
+/// The layouts the figure grids compare, derived once (the 16-way
+/// measurement run) outside every timed region.
+fn e2e_layouts(args: &Args) -> Derived {
     let setup = slopt_bench::default_figure_setup(if args.quick { 1 } else { 4 });
     let layouts = compute_paper_layouts_jobs_obs(
         &setup.kernel,
@@ -501,27 +543,36 @@ fn bench_fig9_e2e(args: &Args) -> BenchResult {
         1,
         &Obs::disabled(),
     );
+    (setup, layouts)
+}
+
+/// One figure grid end to end and serial, as the figure binary runs it
+/// at `--jobs 1`: every layout table × (warm-up + `runs` measured runs)
+/// on `machine`, one whole grid per rep, in reference seconds.
+fn bench_grid(
+    args: &Args,
+    name: &'static str,
+    (setup, layouts): &Derived,
+    machine: &Machine,
+    sdet: &SdetConfig,
+    runs: usize,
+) -> BenchResult {
     let kinds = [LayoutKind::Tool, LayoutKind::SortByHotness];
-    let (tables, _) = figure_tables(&setup.kernel, &setup.sdet, &layouts, &kinds);
-    let machine = Machine::bus(4);
-    let seeds = measurement_seeds(setup.runs);
+    let (tables, _) = figure_tables(&setup.kernel, sdet, layouts, &kinds);
+    let seeds = measurement_seeds(runs);
     let reps = 3;
 
     let mut dense_s = Vec::new();
+    let mut dense_wall_s = Vec::new();
     let mut totals: Option<(u64, u64)> = None;
+    let probe = Probe::start();
     for _ in 0..reps {
-        let ((accesses, steps), td) = time(|| {
+        let ((accesses, steps), td, wd) = time_ref(&probe, || {
             let (mut accesses, mut steps) = (0u64, 0u64);
             for table in &tables {
                 for &seed in &seeds {
-                    let run = run_once(
-                        &setup.kernel,
-                        table,
-                        &machine,
-                        &setup.sdet,
-                        seed,
-                        &mut NullObserver,
-                    );
+                    let run =
+                        run_once(&setup.kernel, table, machine, sdet, seed, &mut NullObserver);
                     accesses += run.stats.accesses();
                     steps += run.result.steps;
                 }
@@ -529,21 +580,23 @@ fn bench_fig9_e2e(args: &Args) -> BenchResult {
             (accesses, steps)
         });
         dense_s.push(td);
+        dense_wall_s.push(wd);
         assert_eq!(
             *totals.get_or_insert((accesses, steps)),
             (accesses, steps),
-            "fig9 grid is not deterministic across reps"
+            "{name} grid is not deterministic across reps"
         );
     }
+    drop(probe);
     let (accesses, steps) = totals.expect("at least one rep");
-    let wall: f64 = dense_s.iter().sum();
+    let busy: f64 = dense_s.iter().sum();
     BenchResult {
-        name: "fig9_e2e",
+        name,
         work: format!(
-            "fig9 grid serial, {} tables x {} runs (+warm-up), {} scripts/cpu",
+            "{name} grid serial, {} tables x {} runs (+warm-up), {} scripts/cpu",
             tables.len(),
-            setup.runs,
-            setup.sdet.scripts_per_cpu
+            runs,
+            sdet.scripts_per_cpu
         ),
         reps,
         dense_s,
@@ -554,10 +607,50 @@ fn bench_fig9_e2e(args: &Args) -> BenchResult {
         batch_peak_rss_kb: None,
         delta_full_ratio: None,
         sim_rates: Some(SimRates {
-            accesses_per_s: (accesses * reps as u64) as f64 / wall,
-            steps_per_s: (steps * reps as u64) as f64 / wall,
+            accesses_per_s: (accesses * reps as u64) as f64 / busy,
+            steps_per_s: (steps * reps as u64) as f64 / busy,
         }),
+        dense_wall_s,
     }
+}
+
+/// The Figure 9 grid on the 4-way bus at the default figure scale under
+/// `--quick`.
+fn bench_fig9_e2e(args: &Args, derived: &Derived) -> BenchResult {
+    let setup = &derived.0;
+    bench_grid(
+        args,
+        "fig9_e2e",
+        derived,
+        &Machine::bus(4),
+        &setup.sdet,
+        setup.runs,
+    )
+}
+
+/// The Figure 8 grid on the 128-way Superdome: 4 scripts per CPU and
+/// one measured run under `--quick`, the `fig8` binary's default sizing
+/// otherwise (a grid at `fig9_e2e`'s full scale takes ~30 s on a 2-core
+/// x86-64 host).
+fn bench_fig8_e2e(args: &Args, derived: &Derived) -> BenchResult {
+    let fig8 = slopt_bench::default_figure_setup(1);
+    let (scripts_per_cpu, runs) = if args.quick {
+        (4, 1)
+    } else {
+        (fig8.sdet.scripts_per_cpu, fig8.runs)
+    };
+    let sdet = SdetConfig {
+        scripts_per_cpu,
+        ..derived.0.sdet.clone()
+    };
+    bench_grid(
+        args,
+        "fig8_e2e",
+        derived,
+        &Machine::superdome(128),
+        &sdet,
+        runs,
+    )
 }
 
 // -------------------------------------------------------------------- cc
@@ -617,6 +710,7 @@ fn bench_cc(args: &Args) -> BenchResult {
         batch_peak_rss_kb: None,
         delta_full_ratio: None,
         sim_rates: None,
+        dense_wall_s: Vec::new(),
     }
 }
 
@@ -686,6 +780,7 @@ fn bench_flg_cluster(args: &Args) -> BenchResult {
         batch_peak_rss_kb: None,
         delta_full_ratio: None,
         sim_rates: None,
+        dense_wall_s: Vec::new(),
     }
 }
 
@@ -825,6 +920,7 @@ fn bench_search_delta(args: &Args) -> BenchResult {
         batch_peak_rss_kb: None,
         delta_full_ratio: None,
         sim_rates: None,
+        dense_wall_s: Vec::new(),
     };
     r.delta_full_ratio = r.speedup();
     r
@@ -850,7 +946,21 @@ fn write_report(path: &str, args: &Args, results: &[BenchResult]) -> std::io::Re
                 "      \"dense_trimmed_mean_s\": {:.6}",
                 trimmed_mean(&r.dense_s)
             ),
+            format!(
+                "      \"time_unit\": \"{}\"",
+                if r.dense_wall_s.is_empty() {
+                    "wall_s"
+                } else {
+                    "reference_s"
+                }
+            ),
         ];
+        if !r.dense_wall_s.is_empty() {
+            fields.push(format!(
+                "      \"dense_wall_total_s\": {:.6}",
+                r.dense_wall_s.iter().sum::<f64>()
+            ));
+        }
         let hist = r.dense_hist();
         if !hist.is_empty() {
             let s = hist.summary();
@@ -905,7 +1015,7 @@ fn write_report(path: &str, args: &Args, results: &[BenchResult]) -> std::io::Re
         benches.push(format!("    {{\n{}\n    }}", fields.join(",\n")));
     }
     let doc = format!(
-        "{{\n  \"schema\": \"slopt-perf-report/6\",\n  \"quick\": {},\n  \"jobs\": {},\n  \"host_cores\": {},\n  \"equivalence_checked\": {},\n  \"benches\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"schema\": \"slopt-perf-report/7\",\n  \"quick\": {},\n  \"jobs\": {},\n  \"host_cores\": {},\n  \"equivalence_checked\": {},\n  \"benches\": [\n{}\n  ]\n}}\n",
         args.quick,
         args.jobs,
         host_cores(),
@@ -931,7 +1041,7 @@ fn main() {
         args.quick, args.jobs, args.reference
     );
 
-    let results = vec![
+    let mut results = vec![
         // cc_stream must run first: VmHWM only ever rises, so its peak-RSS
         // figure is meaningful only before any other bench allocates.
         bench_cc_stream(&args),
@@ -939,8 +1049,10 @@ fn main() {
         bench_cc(&args),
         bench_flg_cluster(&args),
         bench_search_delta(&args),
-        bench_fig9_e2e(&args),
     ];
+    let derived = e2e_layouts(&args);
+    results.push(bench_fig9_e2e(&args, &derived));
+    results.push(bench_fig8_e2e(&args, &derived));
 
     for r in &results {
         match r.speedup() {

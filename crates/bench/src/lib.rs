@@ -23,6 +23,7 @@
 pub mod args;
 pub mod checkpoint;
 pub mod harness;
+pub mod probe;
 pub mod runner;
 
 pub use args::{help_text, ArgError, CommonArgs, EXIT_CODE_TABLE, FLAG_REFERENCE};

@@ -156,6 +156,11 @@ impl StructLayout {
         })
     }
 
+    /// Number of fields the layout places.
+    pub fn field_count(&self) -> usize {
+        self.offsets.len()
+    }
+
     /// Byte offset of a field.
     ///
     /// # Panics

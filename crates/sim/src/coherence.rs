@@ -74,6 +74,10 @@ struct DirEntry {
     /// CPUs that lost the line to an invalidation, with the bytes written
     /// by other CPUs since — consumed (and classified) at their next miss.
     pending_inval: Vec<(u16, u128)>,
+    /// Bitmask of the CPUs in `pending_inval` (each appears at most
+    /// once), so misses and writes skip the record scan when it is empty
+    /// or does not name them.
+    pending: u128,
     /// Directory occupancy: coherence transactions on this line serialize
     /// behind this timestamp.
     busy_until: u64,
@@ -232,6 +236,9 @@ fn cpu_bit(cpu: CpuId) -> u128 {
     1u128 << cpu.0
 }
 
+/// The bytes `[offset_in_line, offset_in_line + size)` of a line as a
+/// bitmap. Built only where it is used — on writes and misses — never on
+/// a read hit.
 fn byte_mask(offset_in_line: u64, size: u64) -> u128 {
     debug_assert!(offset_in_line + size <= 128);
     if size >= 128 {
@@ -247,6 +254,8 @@ pub struct MemSystem {
     topo: Topology,
     lat: LatencyModel,
     cfg: CacheConfig,
+    /// `log2(line size)`: a byte address's line is `addr >> line_shift`.
+    line_shift: u32,
     cache: Cache,
     dir: Directory,
     ever_cached: Vec<LineSet>,
@@ -270,6 +279,7 @@ impl MemSystem {
             topo,
             lat,
             cfg,
+            line_shift: cfg.line_size.trailing_zeros(),
             cache: Cache::new(cfg, n),
             dir: Directory::Dense(DenseDirectory::default()),
             ever_cached: (0..n).map(|_| LineSet::default()).collect(),
@@ -379,16 +389,16 @@ impl MemSystem {
             "access of {size} bytes at {addr:#x} wraps the address space"
         );
         assert!(cpu.index() < self.cache.cpus(), "cpu {cpu} out of range");
+        // The line size is a validated power of two: shift and mask.
         let line_size = self.cfg.line_size;
         let mut total = 0;
         let mut cursor = addr;
         let end = addr + size;
         while cursor < end {
-            let line = cursor / line_size;
-            let off = cursor % line_size;
+            let line = cursor >> self.line_shift;
+            let off = cursor & (line_size - 1);
             let chunk = (line_size - off).min(end - cursor);
-            let mask = byte_mask(off, chunk);
-            let (lat, class) = self.access_line(cpu, line, mask, write, now + total);
+            let (lat, class) = self.access_line(cpu, line, off, chunk, write, now + total);
             self.stats.record(class, lat, record);
             total += lat;
             cursor += chunk;
@@ -396,13 +406,14 @@ impl MemSystem {
         total
     }
 
-    /// One access entirely within line `line`, touching the bytes of
-    /// `mask`.
+    /// One access entirely within line `line`, touching its bytes
+    /// `[off, off + len)`.
     fn access_line(
         &mut self,
         cpu: CpuId,
         line: u64,
-        mask: u128,
+        off: u64,
+        len: u64,
         write: bool,
         now: u64,
     ) -> (u64, AccessClass) {
@@ -415,7 +426,7 @@ impl MemSystem {
         match state {
             Some(Mesi::Modified) => {
                 if write {
-                    self.note_write(cpu, line, mask);
+                    self.note_write(cpu, line, byte_mask(off, len));
                 }
                 (self.lat.hit, AccessClass::Hit)
             }
@@ -425,18 +436,18 @@ impl MemSystem {
                     self.stats.state_transitions += 1;
                     let entry = self.dir.entry_mut(line);
                     entry.owner = Some(cpu.0);
-                    self.note_write(cpu, line, mask);
+                    self.note_write(cpu, line, byte_mask(off, len));
                 }
                 (self.lat.hit, AccessClass::Hit)
             }
             Some(Mesi::Shared) => {
                 if write {
-                    self.upgrade(cpu, line, mask, now)
+                    self.upgrade(cpu, line, byte_mask(off, len), now)
                 } else {
                     (self.lat.hit, AccessClass::Hit)
                 }
             }
-            None => self.miss(cpu, line, mask, write, now),
+            None => self.miss(cpu, line, byte_mask(off, len), write, now),
         }
     }
 
@@ -444,6 +455,9 @@ impl MemSystem {
     /// CPUs waiting to re-fetch this line.
     fn note_write(&mut self, writer: CpuId, line: u64, mask: u128) {
         if let Some(entry) = self.dir.probe_mut(line) {
+            if entry.pending & !cpu_bit(writer) == 0 {
+                return;
+            }
             for (c, bm) in entry.pending_inval.iter_mut() {
                 if *c != writer.0 {
                     *bm |= mask;
@@ -483,6 +497,7 @@ impl MemSystem {
                 rest &= rest - 1;
                 entry.pending_inval.push((v, 0));
             }
+            entry.pending |= others;
         }
         let entry = self.dir.probe_mut(line).expect("entry exists");
         entry.owner = Some(cpu.0);
@@ -530,8 +545,16 @@ impl MemSystem {
 
         // Classify before mutating sharer state.
         let mut sharing_event: Option<SharingMissEvent> = None;
-        let class = if let Some(pos) = entry.pending_inval.iter().position(|(c, _)| *c == cpu.0) {
+        // Only a CPU with a pending record can take a sharing miss; cold
+        // and capacity misses skip the record scan.
+        let pos = if entry.pending & cpu_bit(cpu) != 0 {
+            entry.pending_inval.iter().position(|(c, _)| *c == cpu.0)
+        } else {
+            None
+        };
+        let class = if let Some(pos) = pos {
             let (_, written) = entry.pending_inval.swap_remove(pos);
+            entry.pending &= !cpu_bit(cpu);
             let false_sharing = written & mask == 0;
             if self.log_sharing {
                 sharing_event = Some(SharingMissEvent {
@@ -600,6 +623,7 @@ impl MemSystem {
                 rest &= rest - 1;
                 entry.pending_inval.push((v, 0));
             }
+            entry.pending |= victim_mask;
             entry.owner = Some(cpu.0);
             entry.sharers = cpu_bit(cpu);
             let had_copies = owner.is_some() || sharers != 0;
@@ -674,6 +698,19 @@ impl MemSystem {
     /// Panics if an invariant is violated.
     pub fn check_invariants(&self) {
         self.dir.for_each(|line, entry| {
+            let listed = entry
+                .pending_inval
+                .iter()
+                .fold(0u128, |acc, &(c, _)| acc | 1u128 << c);
+            assert_eq!(
+                entry.pending, listed,
+                "line {line:#x}: pending bitmask disagrees with the record list"
+            );
+            assert_eq!(
+                entry.pending.count_ones() as usize,
+                entry.pending_inval.len(),
+                "line {line:#x}: a CPU has two pending-invalidation records"
+            );
             if let Some(o) = entry.owner {
                 assert_eq!(
                     entry.sharers,

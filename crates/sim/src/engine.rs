@@ -9,19 +9,28 @@
 //! throughput, exactly the mechanism behind the paper's SDET numbers.
 //!
 //! Work is organized as **scripts** (the SDET unit of throughput): each
-//! script is a list of function invocations with instance-slot bindings.
+//! script is a list of function invocations with instance-slot bindings,
+//! queued per CPU in a flat [`WorkQueue`].
 //! [`RunResult::throughput`] reports scripts per million cycles.
+//!
+//! Everything a step touches is flat and dense. The next CPU comes from a
+//! [`Scheduler`] (a tournament tree over the per-CPU clocks). At the start
+//! of a run the program is lowered once into one array of ops, with every
+//! field access already resolved against the [`LayoutTable`] into a byte
+//! offset and size, and one table of blocks indexing into it. Loop trip
+//! counters live on one stack per CPU, and block counts in one array that
+//! becomes the run's [`Profile`] at the end.
 
 use crate::alloc::LayoutTable;
 use crate::coherence::MemSystem;
+use crate::sched::Scheduler;
 use crate::topology::CpuId;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use slopt_ir::cfg::{BlockId, FuncId, Instr, Program, Terminator};
+use slopt_ir::cfg::{BlockId, FieldAccess, FuncId, Instr, Program, Terminator};
 use slopt_ir::profile::Profile;
 use slopt_ir::source::SourceLine;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use slopt_ir::types::RecordId;
 use std::error::Error;
 use std::fmt;
 
@@ -53,22 +62,73 @@ pub struct NullObserver;
 
 impl Observer for NullObserver {}
 
-/// One function invocation with its instance-slot bindings (base addresses,
-/// indexed by [`slopt_ir::cfg::InstanceSlot`]).
-#[derive(Clone, Debug)]
-pub struct Invocation {
-    /// Function to run.
-    pub func: FuncId,
-    /// `bindings[slot]` = base address of the record instance bound to that
-    /// slot. Callees inherit the caller's bindings.
-    pub bindings: Vec<u64>,
+/// One CPU's work: a queue of scripts (the SDET unit of throughput), each
+/// a run of function invocations with their instance-slot bindings.
+///
+/// The queue is stored flat: one function id per invocation, one arena of
+/// bindings with an end offset per invocation, and an end offset (in
+/// invocations) per script. Building it costs a few growing vectors, not
+/// an allocation per invocation.
+#[derive(Clone, Debug, Default)]
+pub struct WorkQueue {
+    funcs: Vec<FuncId>,
+    binding_ends: Vec<u32>,
+    bindings: Vec<u64>,
+    script_ends: Vec<u32>,
 }
 
-/// A unit of workload throughput (one SDET "script").
-#[derive(Clone, Debug, Default)]
-pub struct Script {
-    /// The invocations the script performs, in order.
-    pub invocations: Vec<Invocation>,
+impl WorkQueue {
+    /// An empty queue.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// An empty queue with room for `scripts` scripts, `invocations`
+    /// invocations and `bindings` bindings in total.
+    pub fn with_capacity(scripts: usize, invocations: usize, bindings: usize) -> Self {
+        WorkQueue {
+            funcs: Vec::with_capacity(invocations),
+            binding_ends: Vec::with_capacity(invocations),
+            bindings: Vec::with_capacity(bindings),
+            script_ends: Vec::with_capacity(scripts),
+        }
+    }
+
+    /// Appends an invocation of `func` to the open script. `bindings`
+    /// yields the base address of the record instance bound to each
+    /// [`slopt_ir::cfg::InstanceSlot`], in slot order; callees inherit
+    /// the caller's bindings.
+    pub fn push_invocation(&mut self, func: FuncId, bindings: impl IntoIterator<Item = u64>) {
+        self.funcs.push(func);
+        self.bindings.extend(bindings);
+        self.binding_ends.push(offset(self.bindings.len()));
+    }
+
+    /// Closes the open script: the invocations pushed since the previous
+    /// call (possibly none) form one script.
+    pub fn end_script(&mut self) {
+        self.script_ends.push(offset(self.funcs.len()));
+    }
+
+    /// Number of closed scripts.
+    pub fn script_count(&self) -> usize {
+        self.script_ends.len()
+    }
+
+    /// Every invocation as `(function, bindings)`, in queue order.
+    pub fn invocations(&self) -> impl Iterator<Item = (FuncId, &[u64])> + '_ {
+        let starts = std::iter::once(0).chain(self.binding_ends.iter().copied());
+        self.funcs
+            .iter()
+            .zip(starts.zip(self.binding_ends.iter().copied()))
+            .map(|(&f, (lo, hi))| (f, &self.bindings[lo as usize..hi as usize]))
+    }
+}
+
+/// An index into one of the engine's flat tables (work queues, ops,
+/// blocks, loop counters), which are bounded by `u32` entries.
+fn offset(len: usize) -> u32 {
+    u32::try_from(len).expect("engine table exceeds u32::MAX entries")
 }
 
 /// Engine tuning knobs.
@@ -136,66 +196,246 @@ impl RunResult {
     }
 }
 
-struct FrameState {
-    func: FuncId,
-    block: BlockId,
-    instr_idx: usize,
-    /// Loop trip counters indexed by block id, grown lazily on the first
-    /// `Loop` terminator — loop-free frames never allocate.
-    loop_counters: Vec<u32>,
+/// One instruction of the lowered program.
+#[derive(Clone, Copy, Debug)]
+enum Op {
+    /// Opaque computation of this many cycles.
+    Compute(u32),
+    /// A field access resolved against the run's layouts: `size` bytes
+    /// (at most 8) at `offset` from the base bound to `slot`.
+    Access {
+        offset: u64,
+        size: u32,
+        record: RecordId,
+        slot: u8,
+        write: bool,
+    },
+    /// An access whose record has no layout (or whose field is outside
+    /// it): executing it panics, exactly as an unresolved lookup would.
+    Unresolved(FieldAccess),
+    /// Call of a function (by id).
+    Call(FuncId),
 }
 
+/// A block terminator with targets as global block indices.
+#[derive(Clone, Copy, Debug)]
+enum Term {
+    Jump(u32),
+    Branch {
+        taken: u32,
+        not_taken: u32,
+        prob_taken: f64,
+    },
+    /// `counter` is the loop's slot in its frame's trip counters.
+    Loop {
+        back: u32,
+        exit: u32,
+        trip: u32,
+        counter: u32,
+    },
+    Ret,
+}
+
+/// One block of the lowered program; `ops[start..end]` are its ops.
+#[derive(Clone, Copy, Debug)]
+struct Block {
+    start: u32,
+    end: u32,
+    term: Term,
+    func: FuncId,
+    id: BlockId,
+    line: SourceLine,
+}
+
+/// The program lowered for one run: every block of every function in one
+/// table, in function order, and every instruction in one op array.
+#[derive(Debug)]
+struct Code {
+    ops: Vec<Op>,
+    blocks: Vec<Block>,
+    /// Global index of each function's entry block.
+    entry: Vec<u32>,
+    /// Number of loop trip counters each function's frames need.
+    loops: Vec<u32>,
+}
+
+impl Code {
+    fn lower(program: &Program, layouts: &LayoutTable) -> Code {
+        let funcs = program.function_count();
+        let mut code = Code {
+            ops: Vec::new(),
+            blocks: Vec::new(),
+            entry: Vec::with_capacity(funcs),
+            loops: Vec::with_capacity(funcs),
+        };
+        for (fid, func) in program.functions() {
+            // Function `fid`'s block `b` is `blocks[base + b]`.
+            let base = offset(code.blocks.len());
+            let global = |b: BlockId| base + b.0;
+            code.entry.push(global(func.entry()));
+            let mut loops = 0;
+            for (bid, block) in func.blocks() {
+                let start = offset(code.ops.len());
+                code.ops
+                    .extend(block.instrs.iter().map(|instr| match *instr {
+                        Instr::Compute(c) => Op::Compute(c),
+                        Instr::Call(callee) => Op::Call(callee),
+                        Instr::Access(a) => resolve(layouts, a),
+                    }));
+                let term = match block.term {
+                    Terminator::Jump(t) => Term::Jump(global(t)),
+                    Terminator::Branch {
+                        taken,
+                        not_taken,
+                        prob_taken,
+                    } => Term::Branch {
+                        taken: global(taken),
+                        not_taken: global(not_taken),
+                        prob_taken,
+                    },
+                    Terminator::Loop { back, exit, trip } => {
+                        loops += 1;
+                        Term::Loop {
+                            back: global(back),
+                            exit: global(exit),
+                            trip,
+                            counter: loops - 1,
+                        }
+                    }
+                    Terminator::Ret => Term::Ret,
+                };
+                code.blocks.push(Block {
+                    start,
+                    end: offset(code.ops.len()),
+                    term,
+                    func: fid,
+                    id: bid,
+                    line: block.line,
+                });
+            }
+            code.loops.push(loops);
+        }
+        code
+    }
+}
+
+/// Resolves one access against the layouts, or marks it unresolved.
+fn resolve(layouts: &LayoutTable, a: FieldAccess) -> Op {
+    let layout = match layouts.get(a.record) {
+        Some(l) if a.field.index() < l.field_count() => l,
+        _ => return Op::Unresolved(a),
+    };
+    Op::Access {
+        offset: layout.offset(a.field),
+        size: layout.field_size(a.field).min(8) as u32,
+        record: a.record,
+        slot: a.slot.0,
+        write: a.kind.is_write(),
+    }
+}
+
+/// A call frame: the block it executes and its next op.
+#[derive(Clone, Copy, Debug)]
+struct Frame {
+    /// Global index of the current block.
+    block: u32,
+    /// Index of the next op to execute.
+    pc: u32,
+    /// Where this frame's loop trip counters start in the CPU's stack.
+    counter_base: u32,
+}
+
+/// One CPU's execution state.
 struct CpuState {
-    scripts: Vec<Script>,
-    script_idx: usize,
-    inv_idx: usize,
-    frames: Vec<FrameState>,
-    bindings: Vec<u64>,
-    time: u64,
+    queue: WorkQueue,
+    /// Next invocation and next script to take from the queue.
+    next_inv: usize,
+    next_script: usize,
+    /// The current invocation's bindings: `queue.bindings[lo..hi]`.
+    bind_lo: usize,
+    bind_hi: usize,
+    frames: Vec<Frame>,
+    /// Loop trip counters of every frame, innermost last.
+    counters: Vec<u32>,
     rng: SmallRng,
-    done: bool,
 }
 
 impl CpuState {
-    /// Advances to the next invocation (or script); returns `false` when
-    /// all work is exhausted. Reports completed scripts via `on_done`.
-    fn next_work(
+    /// Pushes a frame at the entry of `func`, with zeroed loop counters.
+    fn call(&mut self, code: &Code, func: FuncId) {
+        let block = code.entry[func.0 as usize];
+        let counter_base = offset(self.counters.len());
+        self.counters.resize(
+            self.counters.len() + code.loops[func.0 as usize] as usize,
+            0,
+        );
+        self.frames.push(Frame {
+            block,
+            pc: code.blocks[block as usize].start,
+            counter_base,
+        });
+    }
+
+    /// Enters the next invocation, completing (and reporting) finished
+    /// scripts on the way; returns `false` when the queue is exhausted.
+    fn next_work<O: Observer + ?Sized>(
         &mut self,
+        code: &Code,
         cpu: CpuId,
-        observer: &mut dyn Observer,
+        time: u64,
+        observer: &mut O,
         scripts_done: &mut u64,
     ) -> bool {
         loop {
-            if self.script_idx >= self.scripts.len() {
-                self.done = true;
+            let Some(&end) = self.queue.script_ends.get(self.next_script) else {
                 return false;
-            }
-            let script = &mut self.scripts[self.script_idx];
-            if self.inv_idx < script.invocations.len() {
-                let inv = &mut script.invocations[self.inv_idx];
-                self.inv_idx += 1;
-                // The workload is owned by the run and every invocation is
-                // executed exactly once, so the bindings can be moved out
-                // instead of cloned — no per-invocation allocation.
-                self.bindings = std::mem::take(&mut inv.bindings);
-                self.frames.push(FrameState {
-                    func: inv.func,
-                    block: BlockId(0), // placeholder, set by caller
-                    instr_idx: 0,
-                    loop_counters: Vec::new(),
-                });
+            };
+            if self.next_inv < end as usize {
+                let func = self.queue.funcs[self.next_inv];
+                self.bind_lo = self.bind_hi;
+                self.bind_hi = self.queue.binding_ends[self.next_inv] as usize;
+                self.next_inv += 1;
+                self.call(code, func);
                 return true;
             }
-            // Script finished.
             *scripts_done += 1;
-            observer.on_script_done(cpu, self.time);
-            self.script_idx += 1;
-            self.inv_idx = 0;
+            observer.on_script_done(cpu, time);
+            self.next_script += 1;
         }
     }
 }
 
-/// Runs `workload[cpu]` (a list of scripts per CPU) over the program on the
+/// The panic of an access that could not be resolved, raised in the same
+/// order as a lookup at execution time: missing layout first, then a
+/// missing binding, then a field outside the layout.
+#[cold]
+#[inline(never)]
+fn unresolved(
+    program: &Program,
+    layouts: &LayoutTable,
+    func: FuncId,
+    a: FieldAccess,
+    bindings: &[u64],
+) -> ! {
+    let layout = layouts.layout(a.record);
+    if bindings.get(a.slot.0 as usize).is_none() {
+        unbound(program, func, a.slot.0);
+    }
+    let _ = layout.offset(a.field);
+    unreachable!("access to {} field {:?} resolved late", a.record, a.field)
+}
+
+#[cold]
+#[inline(never)]
+fn unbound(program: &Program, func: FuncId, slot: u8) -> ! {
+    panic!(
+        "unbound {} in {}",
+        slopt_ir::cfg::InstanceSlot(slot),
+        program.function(func).name()
+    )
+}
+
+/// Runs `workload[cpu]` (one work queue per CPU) over the program on the
 /// machine modelled by `mem`. Returns the run outcome; memory statistics
 /// accumulate inside `mem`.
 ///
@@ -206,173 +446,180 @@ impl CpuState {
 ///
 /// # Panics
 ///
-/// Panics if `workload` does not have exactly one entry per machine CPU, or
-/// if an executed access lacks a registered layout or binding.
-pub fn run(
+/// Panics if `workload` does not have exactly one entry per machine CPU,
+/// if a queue has invocations after its last closed script, if an
+/// executed access lacks a registered layout or binding, or if a CPU's
+/// clock reaches [`crate::sched::MAX_CLOCK`].
+pub fn run<O: Observer + ?Sized>(
     program: &Program,
     layouts: &LayoutTable,
     mem: &mut MemSystem,
-    workload: Vec<Vec<Script>>,
+    workload: Vec<WorkQueue>,
     cfg: &EngineConfig,
-    observer: &mut dyn Observer,
+    observer: &mut O,
 ) -> Result<RunResult, StepsExhausted> {
     let cpus = mem.topology().cpu_count();
     assert_eq!(workload.len(), cpus, "workload must cover every CPU");
+    for q in &workload {
+        assert_eq!(
+            q.script_ends.last().map_or(0, |&e| e as usize),
+            q.funcs.len(),
+            "work queue has invocations after its last script"
+        );
+    }
+    let code = Code::lower(program, layouts);
 
     let mut states: Vec<CpuState> = workload
         .into_iter()
         .enumerate()
-        .map(|(i, scripts)| CpuState {
-            scripts,
-            script_idx: 0,
-            inv_idx: 0,
+        .map(|(i, queue)| CpuState {
+            queue,
+            next_inv: 0,
+            next_script: 0,
+            bind_lo: 0,
+            bind_hi: 0,
             frames: Vec::new(),
-            bindings: Vec::new(),
-            time: 0,
+            counters: Vec::new(),
             rng: SmallRng::seed_from_u64(cfg.seed ^ (0x9E37_79B9u64.wrapping_mul(i as u64 + 1))),
-            done: false,
         })
         .collect();
 
-    let mut profile = Profile::new();
+    let mut counts = vec![0u64; code.blocks.len()];
+    let mut per_cpu_time = vec![0u64; cpus];
     let mut scripts_done = 0u64;
     let mut steps = 0u64;
 
-    let mut heap: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
+    let mut sched = Scheduler::new(cpus);
     for (i, state) in states.iter_mut().enumerate() {
         // Prime each CPU with its first invocation.
-        let cpu = CpuId(i as u16);
-        if state.next_work(cpu, observer, &mut scripts_done) {
-            let func = state.frames.last().expect("frame pushed").func;
-            state.frames.last_mut().expect("frame").block = program.function(func).entry();
-            heap.push(Reverse((state.time, i)));
+        if state.next_work(&code, CpuId(i as u16), 0, observer, &mut scripts_done) {
+            sched.push(i, 0);
         }
     }
 
-    while let Some(Reverse((_, idx))) = heap.pop() {
+    while let Some((start, idx)) = sched.pop() {
         if steps >= cfg.max_steps {
             return Err(StepsExhausted { steps });
         }
         steps += 1;
         let cpu = CpuId(idx as u16);
         let state = &mut states[idx];
-        let start = state.time;
+        let mut time = start;
 
         // Execute the top frame until the block ends or a call suspends it.
-        let (func_id, block_id, entered) = {
-            let frame = state.frames.last().expect("active frame");
-            (frame.func, frame.block, frame.instr_idx == 0)
-        };
-        let func = program.function(func_id);
-        let block = func.block(block_id);
-        if entered {
-            profile.record(func_id, block_id, 1);
-            state.time += cfg.block_cost;
+        let frame = state.frames.last_mut().expect("active frame");
+        let block = code.blocks[frame.block as usize];
+        if frame.pc == block.start {
+            counts[frame.block as usize] += 1;
+            time += cfg.block_cost;
         }
-
         let mut called: Option<FuncId> = None;
-        {
-            let frame = state.frames.last_mut().expect("active frame");
-            while frame.instr_idx < block.instrs.len() {
-                let instr = &block.instrs[frame.instr_idx];
-                frame.instr_idx += 1;
-                match instr {
-                    Instr::Compute(c) => state.time += u64::from(*c),
-                    Instr::Access(a) => {
-                        let layout = layouts.layout(a.record);
-                        let base = *state
-                            .bindings
-                            .get(a.slot.0 as usize)
-                            .unwrap_or_else(|| panic!("unbound {} in {}", a.slot, func.name()));
-                        let addr = base + layout.offset(a.field);
-                        let size = layout.field_size(a.field).min(8);
-                        state.time += mem.access(
-                            cpu,
-                            addr,
-                            size,
-                            a.kind.is_write(),
-                            Some(a.record),
-                            state.time,
-                        );
-                    }
-                    Instr::Call(callee) => {
-                        called = Some(*callee);
-                        break;
-                    }
+        while frame.pc < block.end {
+            let op = code.ops[frame.pc as usize];
+            frame.pc += 1;
+            match op {
+                Op::Compute(c) => time += u64::from(c),
+                Op::Access {
+                    offset,
+                    size,
+                    record,
+                    slot,
+                    write,
+                } => {
+                    let bindings = &state.queue.bindings[state.bind_lo..state.bind_hi];
+                    let Some(&base) = bindings.get(slot as usize) else {
+                        unbound(program, block.func, slot)
+                    };
+                    time += mem.access(
+                        cpu,
+                        base + offset,
+                        u64::from(size),
+                        write,
+                        Some(record),
+                        time,
+                    );
+                }
+                Op::Unresolved(a) => unresolved(
+                    program,
+                    layouts,
+                    block.func,
+                    a,
+                    &state.queue.bindings[state.bind_lo..state.bind_hi],
+                ),
+                Op::Call(callee) => {
+                    called = Some(callee);
+                    break;
                 }
             }
         }
 
-        observer.on_block(cpu, func_id, block_id, block.line, start, state.time);
+        observer.on_block(cpu, block.func, block.id, block.line, start, time);
 
         if let Some(callee) = called {
-            state.frames.push(FrameState {
-                func: callee,
-                block: program.function(callee).entry(),
-                instr_idx: 0,
-                loop_counters: Vec::new(),
-            });
-            heap.push(Reverse((state.time, idx)));
+            state.call(&code, callee);
+            sched.push(idx, time);
             continue;
         }
 
-        // Terminator.
-        let next = {
-            let frame = state.frames.last_mut().expect("active frame");
-            match block.term {
-                Terminator::Jump(t) => Some(t),
-                Terminator::Branch {
-                    taken,
-                    not_taken,
-                    prob_taken,
-                } => {
-                    if state.rng.gen::<f64>() < prob_taken {
-                        Some(taken)
-                    } else {
-                        Some(not_taken)
-                    }
+        let next = match block.term {
+            Term::Jump(t) => Some(t),
+            Term::Branch {
+                taken,
+                not_taken,
+                prob_taken,
+            } => {
+                if state.rng.gen::<f64>() < prob_taken {
+                    Some(taken)
+                } else {
+                    Some(not_taken)
                 }
-                Terminator::Loop { back, exit, trip } => {
-                    let idx = block_id.index();
-                    if frame.loop_counters.len() <= idx {
-                        frame.loop_counters.resize(idx + 1, 0);
-                    }
-                    let c = &mut frame.loop_counters[idx];
-                    *c += 1;
-                    if *c < trip {
-                        Some(back)
-                    } else {
-                        *c = 0;
-                        Some(exit)
-                    }
-                }
-                Terminator::Ret => None,
             }
+            Term::Loop {
+                back,
+                exit,
+                trip,
+                counter,
+            } => {
+                let c = &mut state.counters[(frame.counter_base + counter) as usize];
+                *c += 1;
+                if *c < trip {
+                    Some(back)
+                } else {
+                    *c = 0;
+                    Some(exit)
+                }
+            }
+            Term::Ret => None,
         };
 
         match next {
             Some(t) => {
                 let frame = state.frames.last_mut().expect("active frame");
                 frame.block = t;
-                frame.instr_idx = 0;
-                heap.push(Reverse((state.time, idx)));
+                frame.pc = code.blocks[t as usize].start;
+                sched.push(idx, time);
             }
             None => {
-                state.frames.pop();
-                if state.frames.is_empty() {
-                    if state.next_work(cpu, observer, &mut scripts_done) {
-                        let f = state.frames.last().expect("frame").func;
-                        state.frames.last_mut().expect("frame").block = program.function(f).entry();
-                        heap.push(Reverse((state.time, idx)));
-                    }
+                let frame = state.frames.pop().expect("active frame");
+                state.counters.truncate(frame.counter_base as usize);
+                if !state.frames.is_empty()
+                    || state.next_work(&code, cpu, time, observer, &mut scripts_done)
+                {
+                    sched.push(idx, time);
                 } else {
-                    heap.push(Reverse((state.time, idx)));
+                    per_cpu_time[idx] = time;
+                    sched.retire(idx);
                 }
             }
         }
     }
 
-    let per_cpu_time: Vec<u64> = states.iter().map(|s| s.time).collect();
+    let mut profile = Profile::new();
+    for (block, &n) in code.blocks.iter().zip(&counts) {
+        if n > 0 {
+            profile.record(block.func, block.id, n);
+        }
+    }
     let makespan = per_cpu_time.iter().copied().max().unwrap_or(0);
     Ok(RunResult {
         makespan,
@@ -412,6 +659,18 @@ mod tests {
         (pb.finish(), s, id)
     }
 
+    /// A queue of `scripts`, each a list of `(function, bindings)`.
+    fn queue(scripts: &[&[(FuncId, &[u64])]]) -> WorkQueue {
+        let mut q = WorkQueue::new();
+        for script in scripts {
+            for &(f, b) in *script {
+                q.push_invocation(f, b.iter().copied());
+            }
+            q.end_script();
+        }
+        q
+    }
+
     fn mem(cpus: usize) -> MemSystem {
         MemSystem::new(
             Topology::superdome(cpus),
@@ -438,17 +697,12 @@ mod tests {
         let (prog, rec, f) = simple_program();
         let layouts = layouts_for(&prog, rec);
         let mut m = mem(1);
-        let script = Script {
-            invocations: vec![Invocation {
-                func: f,
-                bindings: vec![0x10000],
-            }],
-        };
+        let script: &[(FuncId, &[u64])] = &[(f, &[0x10000])];
         let result = run(
             &prog,
             &layouts,
             &mut m,
-            vec![vec![script.clone(), script]],
+            vec![queue(&[script, script])],
             &EngineConfig::default(),
             &mut NullObserver,
         )
@@ -494,12 +748,7 @@ mod tests {
         let rec_ty = prog.registry().record(s);
 
         let shared_base = 0x2_0000u64;
-        let workload = |f: FuncId| Script {
-            invocations: vec![Invocation {
-                func: f,
-                bindings: vec![shared_base],
-            }],
-        };
+        let workload = |f: FuncId| queue(&[&[(f, &[shared_base])]]);
 
         // Packed: both fields on line 0.
         let mut packed = LayoutTable::new();
@@ -509,7 +758,7 @@ mod tests {
             &prog,
             &packed,
             &mut m1,
-            vec![vec![workload(f0)], vec![workload(f1)]],
+            vec![workload(f0), workload(f1)],
             &EngineConfig::default(),
             &mut NullObserver,
         )
@@ -527,7 +776,7 @@ mod tests {
             &prog,
             &split,
             &mut m2,
-            vec![vec![workload(f0)], vec![workload(f1)]],
+            vec![workload(f0), workload(f1)],
             &EngineConfig::default(),
             &mut NullObserver,
         )
@@ -580,12 +829,7 @@ mod tests {
             &prog,
             &layouts,
             &mut m,
-            vec![vec![Script {
-                invocations: vec![Invocation {
-                    func: caller_id,
-                    bindings: vec![0x1000],
-                }],
-            }]],
+            vec![queue(&[&[(caller_id, &[0x1000])]])],
             &EngineConfig::default(),
             &mut NullObserver,
         )
@@ -603,12 +847,7 @@ mod tests {
     fn deterministic_given_seed() {
         let (prog, rec, f) = simple_program();
         let layouts = layouts_for(&prog, rec);
-        let script = Script {
-            invocations: vec![Invocation {
-                func: f,
-                bindings: vec![0x4000],
-            }],
-        };
+        let script: &[(FuncId, &[u64])] = &[(f, &[0x4000])];
         let mut results = Vec::new();
         for _ in 0..2 {
             let mut m = mem(4);
@@ -616,7 +855,7 @@ mod tests {
                 &prog,
                 &layouts,
                 &mut m,
-                vec![vec![script.clone(); 5]; 4],
+                vec![queue(&[script; 5]); 4],
                 &EngineConfig::default(),
                 &mut NullObserver,
             )
@@ -645,12 +884,7 @@ mod tests {
             &prog,
             &layouts,
             &mut m,
-            vec![vec![Script {
-                invocations: vec![Invocation {
-                    func: f,
-                    bindings: vec![],
-                }],
-            }]],
+            vec![queue(&[&[(f, &[])]])],
             &cfg,
             &mut NullObserver,
         )
@@ -693,12 +927,7 @@ mod tests {
             &prog,
             &layouts,
             &mut m,
-            vec![vec![Script {
-                invocations: vec![Invocation {
-                    func: f,
-                    bindings: vec![0x8000],
-                }],
-            }]],
+            vec![queue(&[&[(f, &[0x8000])]])],
             &EngineConfig::default(),
             &mut obs,
         )
@@ -718,9 +947,182 @@ mod tests {
             &prog,
             &layouts,
             &mut m,
-            vec![vec![]],
+            vec![WorkQueue::new()],
             &EngineConfig::default(),
             &mut NullObserver,
+        );
+    }
+
+    /// A one-block function reading field 0 of `rec` through slot 0,
+    /// reached only when a branch with probability `reach` is taken.
+    fn guarded_read(reach: f64) -> (Program, slopt_ir::types::RecordId, FuncId) {
+        let mut reg = TypeRegistry::new();
+        let s = reg.add_record(RecordType::new(
+            "S",
+            vec![("a", FieldType::Prim(PrimType::U64))],
+        ));
+        let mut pb = ProgramBuilder::new(reg);
+        let mut fb = FunctionBuilder::new("guarded");
+        let b0 = fb.add_block();
+        let touch = fb.add_block();
+        let done = fb.add_block();
+        fb.branch(b0, touch, done, reach);
+        fb.read(touch, s, FieldIdx(0), InstanceSlot(0));
+        fb.jump(touch, done);
+        let f = pb.add(fb, b0);
+        (pb.finish(), s, f)
+    }
+
+    #[test]
+    #[should_panic(expected = "no layout registered")]
+    fn executed_access_without_layout_panics() {
+        let (prog, _, f) = guarded_read(1.0);
+        let mut m = mem(1);
+        let _ = run(
+            &prog,
+            &LayoutTable::new(),
+            &mut m,
+            vec![queue(&[&[(f, &[0x1000])]])],
+            &EngineConfig::default(),
+            &mut NullObserver,
+        );
+    }
+
+    #[test]
+    fn unexecuted_access_needs_no_layout() {
+        let (prog, _, f) = guarded_read(0.0);
+        let mut m = mem(1);
+        let r = run(
+            &prog,
+            &LayoutTable::new(),
+            &mut m,
+            vec![queue(&[&[(f, &[0x1000])]])],
+            &EngineConfig::default(),
+            &mut NullObserver,
+        )
+        .unwrap();
+        assert_eq!(r.scripts_done, 1);
+        assert_eq!(m.stats().accesses(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "unbound slot0 in guarded")]
+    fn unbound_slot_panics() {
+        let (prog, rec, f) = guarded_read(1.0);
+        let layouts = layouts_for(&prog, rec);
+        let mut m = mem(1);
+        let _ = run(
+            &prog,
+            &layouts,
+            &mut m,
+            vec![queue(&[&[(f, &[])]])],
+            &EngineConfig::default(),
+            &mut NullObserver,
+        );
+    }
+
+    #[test]
+    fn callee_loop_inside_caller_loop_keeps_both_trip_counts() {
+        // inner: a 3-trip loop. outer: a 4-trip loop whose body calls
+        // inner, so inner's counter starts afresh on every call while
+        // outer's survives them.
+        let reg = TypeRegistry::new();
+        let mut pb = ProgramBuilder::new(reg);
+        let mut inner = FunctionBuilder::new("inner");
+        let i0 = inner.add_block();
+        let ibody = inner.add_block();
+        let iexit = inner.add_block();
+        inner.jump(i0, ibody);
+        inner.compute(ibody, 1);
+        inner.loop_latch(ibody, ibody, iexit, 3);
+        let inner_id = pb.add(inner, i0);
+
+        let mut outer = FunctionBuilder::new("outer");
+        let o0 = outer.add_block();
+        let obody = outer.add_block();
+        let oexit = outer.add_block();
+        outer.jump(o0, obody);
+        outer.call(obody, inner_id);
+        outer.loop_latch(obody, obody, oexit, 4);
+        let outer_id = pb.add(outer, o0);
+        let prog = pb.finish();
+
+        let mut m = mem(2);
+        let r = run(
+            &prog,
+            &LayoutTable::new(),
+            &mut m,
+            vec![
+                queue(&[&[(outer_id, &[])], &[(outer_id, &[])]]),
+                queue(&[&[(inner_id, &[])]]),
+            ],
+            &EngineConfig::default(),
+            &mut NullObserver,
+        )
+        .unwrap();
+        assert_eq!(r.scripts_done, 3);
+        let p = &r.profile;
+        assert_eq!(p.count(outer_id, o0), 2);
+        assert_eq!(p.count(outer_id, obody), 2 * 4);
+        assert_eq!(p.count(outer_id, oexit), 2);
+        assert_eq!(p.count(inner_id, i0), 2 * 4 + 1);
+        assert_eq!(p.count(inner_id, ibody), (2 * 4 + 1) * 3);
+        assert_eq!(p.count(inner_id, iexit), 2 * 4 + 1);
+        assert_eq!(p.total(), 2 + 8 + 2 + 9 + 27 + 9);
+    }
+
+    #[test]
+    fn empty_scripts_complete_immediately() {
+        let (prog, rec, f) = simple_program();
+        let layouts = layouts_for(&prog, rec);
+        let mut m = mem(2);
+        let r = run(
+            &prog,
+            &layouts,
+            &mut m,
+            vec![queue(&[&[], &[(f, &[0x1000])], &[]]), queue(&[&[]])],
+            &EngineConfig::default(),
+            &mut NullObserver,
+        )
+        .unwrap();
+        assert_eq!(r.scripts_done, 4);
+        assert_eq!(r.per_cpu_time[1], 0);
+        assert_eq!(m.stats().accesses(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "invocations after its last script")]
+    fn unterminated_script_is_rejected() {
+        let (prog, rec, f) = simple_program();
+        let layouts = layouts_for(&prog, rec);
+        let mut q = WorkQueue::new();
+        q.push_invocation(f, [0x1000]);
+        let _ = run(
+            &prog,
+            &layouts,
+            &mut mem(1),
+            vec![q],
+            &EngineConfig::default(),
+            &mut NullObserver,
+        );
+    }
+
+    #[test]
+    fn work_queue_reports_its_invocations() {
+        let q = queue(&[
+            &[(FuncId(3), &[1, 2])],
+            &[],
+            &[(FuncId(1), &[]), (FuncId(2), &[7])],
+        ]);
+        assert_eq!(q.script_count(), 3);
+        let invs: Vec<(FuncId, Vec<u64>)> = q.invocations().map(|(f, b)| (f, b.to_vec())).collect();
+        assert_eq!(
+            invs,
+            vec![
+                (FuncId(3), vec![1, 2]),
+                (FuncId(1), vec![]),
+                (FuncId(2), vec![7])
+            ]
         );
     }
 }

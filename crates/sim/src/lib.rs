@@ -17,6 +17,8 @@
 //!   field accesses are priced by the memory system, so workload
 //!   throughput responds to structure layout exactly as in the paper's
 //!   SDET runs.
+//! * [`sched`] — the engine's scheduler, a tournament tree picking the CPU
+//!   with the smallest `(clock, cpu)`.
 //! * [`stats`] — counters, including per-record false-sharing attribution.
 //!
 //! ## Example: false sharing visible end to end
@@ -48,15 +50,15 @@ pub mod cache;
 pub mod coherence;
 pub mod engine;
 pub mod obs;
+pub mod sched;
 pub mod stats;
 pub mod topology;
 
 pub use alloc::{Arena, LayoutTable};
 pub use cache::{Cache, CacheConfig, Mesi};
 pub use coherence::{MemSystem, Protocol, SharingMissEvent};
-pub use engine::{
-    run, EngineConfig, Invocation, NullObserver, Observer, RunResult, Script, StepsExhausted,
-};
+pub use engine::{run, EngineConfig, NullObserver, Observer, RunResult, StepsExhausted, WorkQueue};
 pub use obs::{publish_mem_stats, publish_run_result};
+pub use sched::Scheduler;
 pub use stats::{AccessClass, ClassCounts, MemStats};
 pub use topology::{CpuId, CpuLoc, Distance, LatencyModel, Topology, MAX_CPUS};

@@ -16,10 +16,9 @@ use rand::{Rng, SeedableRng};
 use slopt_ir::layout::StructLayout;
 use slopt_ir::types::RecordId;
 use slopt_sim::{
-    Arena, CacheConfig, EngineConfig, Invocation, LatencyModel, LayoutTable, MemStats, MemSystem,
-    Observer, Protocol, RunResult, Script, Topology,
+    Arena, CacheConfig, EngineConfig, LatencyModel, LayoutTable, MemStats, MemSystem, Observer,
+    Protocol, RunResult, Topology, WorkQueue,
 };
-use std::collections::HashMap;
 
 /// A machine to run experiments on: topology + latency model.
 #[derive(Clone, Debug)]
@@ -92,12 +91,18 @@ impl Default for SdetConfig {
     }
 }
 
-/// Concrete instance addresses for one run.
+/// Concrete instance addresses for one run, in dense vectors indexed by
+/// [`RecordId`].
 #[derive(Clone, Debug)]
 pub struct Instances {
-    shared: HashMap<RecordId, u64>,
-    per_cpu: HashMap<RecordId, Vec<u64>>,
-    pool: HashMap<RecordId, Vec<u64>>,
+    cpus: usize,
+    pool_instances: usize,
+    /// `shared[rec]`.
+    shared: Vec<u64>,
+    /// `per_cpu[rec * cpus + cpu]`.
+    per_cpu: Vec<u64>,
+    /// `pool[rec * pool_instances + i]`.
+    pool: Vec<u64>,
 }
 
 impl Instances {
@@ -109,46 +114,49 @@ impl Instances {
         cpus: usize,
         cfg: &SdetConfig,
     ) -> Self {
+        let records = kernel.program().registry().len();
         let mut arena = Arena::new(0x1_0000, cfg.line_size);
-        let mut shared = HashMap::new();
-        let mut per_cpu = HashMap::new();
-        let mut pool = HashMap::new();
+        let mut inst = Instances {
+            cpus,
+            pool_instances: cfg.pool_instances,
+            shared: Vec::with_capacity(records),
+            per_cpu: Vec::with_capacity(records * cpus),
+            pool: Vec::with_capacity(records * cfg.pool_instances),
+        };
         for (rec, _) in kernel.program().registry().records() {
             let layout = layouts.layout(rec);
-            shared.insert(rec, arena.alloc_record(layout));
-            per_cpu.insert(
-                rec,
-                (0..cpus)
-                    .map(|_| arena.alloc_record(layout))
-                    .collect::<Vec<u64>>(),
-            );
-            pool.insert(
-                rec,
-                (0..cfg.pool_instances)
-                    .map(|_| arena.alloc_record(layout))
-                    .collect::<Vec<u64>>(),
-            );
+            inst.shared.push(arena.alloc_record(layout));
+            inst.per_cpu
+                .extend((0..cpus).map(|_| arena.alloc_record(layout)));
+            inst.pool
+                .extend((0..cfg.pool_instances).map(|_| arena.alloc_record(layout)));
         }
-        Instances {
-            shared,
-            per_cpu,
-            pool,
-        }
+        inst
     }
 
     /// Base address of the shared instance of `rec`.
     pub fn shared(&self, rec: RecordId) -> u64 {
-        self.shared[&rec]
+        self.shared[rec.0 as usize]
     }
 
     /// Base address of CPU `cpu`'s instance of `rec`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rec` or `cpu` is out of range.
     pub fn per_cpu(&self, rec: RecordId, cpu: usize) -> u64 {
-        self.per_cpu[&rec][cpu]
+        assert!(cpu < self.cpus, "cpu {cpu} out of range");
+        self.per_cpu[rec.0 as usize * self.cpus + cpu]
     }
 
     /// Base address of pool instance `i` of `rec`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rec` or `i` is out of range.
     pub fn pool(&self, rec: RecordId, i: usize) -> u64 {
-        self.pool[&rec][i]
+        assert!(i < self.pool_instances, "pool instance {i} out of range");
+        self.pool[rec.0 as usize * self.pool_instances + i]
     }
 }
 
@@ -163,54 +171,58 @@ fn pick_action<'k>(actions: &'k [Action], rng: &mut SmallRng, total_weight: f64)
     actions.last().expect("non-empty action table")
 }
 
-/// Builds the per-CPU script queues for one run.
+/// Builds the per-CPU work queues for one run.
 pub fn build_scripts(
     kernel: &impl WorkloadSpec,
     instances: &Instances,
     cpus: usize,
     cfg: &SdetConfig,
     run_seed: u64,
-) -> Vec<Vec<Script>> {
+) -> Vec<WorkQueue> {
     let total_weight: f64 = kernel.actions().iter().map(|a| a.weight).sum();
+    let invocations = cfg.scripts_per_cpu * cfg.invocations_per_script;
+    let max_slots = kernel
+        .actions()
+        .iter()
+        .map(|a| a.slots.len())
+        .max()
+        .unwrap_or(0);
     (0..cpus)
         .map(|cpu| {
             let mut rng =
                 SmallRng::seed_from_u64(cfg.seed ^ run_seed.rotate_left(17) ^ (cpu as u64) << 32);
-            (0..cfg.scripts_per_cpu)
-                .map(|_| {
-                    let invocations = (0..cfg.invocations_per_script)
-                        .map(|_| {
-                            let action = pick_action(kernel.actions(), &mut rng, total_weight);
-                            let func = action.variants[cpu % action.variants.len()];
-                            let bindings = action
-                                .slots
-                                .iter()
-                                .map(|slot| match *slot {
-                                    SlotKind::Shared(r) => instances.shared(r),
-                                    SlotKind::OwnCpu(r) => instances.per_cpu(r, cpu),
-                                    SlotKind::OtherCpu(r) => {
-                                        let other = if cpus == 1 {
-                                            0
-                                        } else {
-                                            let mut o = rng.gen_range(0..cpus - 1);
-                                            if o >= cpu {
-                                                o += 1;
-                                            }
-                                            o
-                                        };
-                                        instances.per_cpu(r, other)
-                                    }
-                                    SlotKind::Pool(r) => {
-                                        instances.pool(r, rng.gen_range(0..cfg.pool_instances))
-                                    }
-                                })
-                                .collect();
-                            Invocation { func, bindings }
-                        })
-                        .collect();
-                    Script { invocations }
-                })
-                .collect()
+            let mut queue =
+                WorkQueue::with_capacity(cfg.scripts_per_cpu, invocations, invocations * max_slots);
+            for _ in 0..cfg.scripts_per_cpu {
+                for _ in 0..cfg.invocations_per_script {
+                    let action = pick_action(kernel.actions(), &mut rng, total_weight);
+                    let func = action.variants[cpu % action.variants.len()];
+                    // The bindings are drawn in slot order, straight into
+                    // the queue's arena.
+                    let bindings = action.slots.iter().map(|slot| match *slot {
+                        SlotKind::Shared(r) => instances.shared(r),
+                        SlotKind::OwnCpu(r) => instances.per_cpu(r, cpu),
+                        SlotKind::OtherCpu(r) => {
+                            let other = if cpus == 1 {
+                                0
+                            } else {
+                                let mut o = rng.gen_range(0..cpus - 1);
+                                if o >= cpu {
+                                    o += 1;
+                                }
+                                o
+                            };
+                            instances.per_cpu(r, other)
+                        }
+                        SlotKind::Pool(r) => {
+                            instances.pool(r, rng.gen_range(0..cfg.pool_instances))
+                        }
+                    });
+                    queue.push_invocation(func, bindings);
+                }
+                queue.end_script();
+            }
+            queue
         })
         .collect()
 }
@@ -266,7 +278,7 @@ pub fn run_once(
     machine: &Machine,
     cfg: &SdetConfig,
     run_seed: u64,
-    observer: &mut dyn Observer,
+    observer: &mut (impl Observer + ?Sized),
 ) -> SdetRun {
     run_once_logged(kernel, layouts, machine, cfg, run_seed, observer, false).0
 }
@@ -280,7 +292,7 @@ pub fn run_once_obs(
     machine: &Machine,
     cfg: &SdetConfig,
     run_seed: u64,
-    observer: &mut dyn Observer,
+    observer: &mut (impl Observer + ?Sized),
     obs: &slopt_obs::Obs,
 ) -> SdetRun {
     let run = {
@@ -301,7 +313,7 @@ pub fn run_once_logged(
     machine: &Machine,
     cfg: &SdetConfig,
     run_seed: u64,
-    observer: &mut dyn Observer,
+    observer: &mut (impl Observer + ?Sized),
     log_sharing: bool,
 ) -> (SdetRun, Vec<slopt_sim::SharingMissEvent>, Instances) {
     let cpus = machine.cpus();
@@ -525,18 +537,21 @@ mod tests {
         let cfg = small_cfg();
         let layouts = baseline_layouts(&k, cfg.line_size);
         let inst = Instances::allocate(&k, &layouts, 16, &cfg);
-        let scripts = build_scripts(&k, &inst, 16, &cfg, 1);
+        let queues = build_scripts(&k, &inst, 16, &cfg, 1);
         let stat = k
             .actions
             .iter()
             .find(|a| a.name == "a_stat_update")
             .unwrap();
-        for (cpu, queue) in scripts.iter().enumerate() {
-            for script in queue {
-                for inv in &script.invocations {
-                    if let Some(pos) = stat.variants.iter().position(|&v| v == inv.func) {
-                        assert_eq!(pos, cpu % stat.variants.len());
-                    }
+        for (cpu, queue) in queues.iter().enumerate() {
+            assert_eq!(queue.script_count(), cfg.scripts_per_cpu);
+            assert_eq!(
+                queue.invocations().count(),
+                cfg.scripts_per_cpu * cfg.invocations_per_script
+            );
+            for (func, _) in queue.invocations() {
+                if let Some(pos) = stat.variants.iter().position(|&v| v == func) {
+                    assert_eq!(pos, cpu % stat.variants.len());
                 }
             }
         }

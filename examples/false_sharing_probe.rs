@@ -14,8 +14,8 @@ use slopt::ir::cfg::InstanceSlot;
 use slopt::ir::layout::StructLayout;
 use slopt::ir::types::{FieldIdx, FieldType, PrimType, RecordType, TypeRegistry};
 use slopt::sim::{
-    AccessClass, CacheConfig, EngineConfig, Invocation, LatencyModel, LayoutTable, MemSystem,
-    Script, Topology,
+    AccessClass, CacheConfig, EngineConfig, LatencyModel, LayoutTable, MemSystem, Topology,
+    WorkQueue,
 };
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -61,12 +61,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let workload = ids
             .iter()
             .map(|&f| {
-                vec![Script {
-                    invocations: vec![Invocation {
-                        func: f,
-                        bindings: vec![shared],
-                    }],
-                }]
+                let mut queue = WorkQueue::new();
+                queue.push_invocation(f, [shared]);
+                queue.end_script();
+                queue
             })
             .collect();
         let result = slopt::sim::run(

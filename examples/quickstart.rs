@@ -18,7 +18,7 @@ use slopt::ir::types::{FieldType, PrimType, RecordType, TypeRegistry};
 use slopt::obs::Obs;
 use slopt::sample::{concurrency_map_obs, ConcurrencyConfig, Sampler, SamplerConfig};
 use slopt::sim::{
-    CacheConfig, EngineConfig, Invocation, LatencyModel, LayoutTable, MemSystem, Script, Topology,
+    CacheConfig, EngineConfig, LatencyModel, LayoutTable, MemSystem, Topology, WorkQueue,
 };
 use slopt::workload; // only for the doc pointer below
 
@@ -88,18 +88,13 @@ pub fn run(obs: &Obs) -> Result<(), Box<dyn std::error::Error>> {
         },
     );
     let shared = 0x10_000u64;
-    let script = Script {
-        invocations: vec![
-            Invocation {
-                func: scan_id,
-                bindings: vec![shared],
-            },
-            Invocation {
-                func: bump_id,
-                bindings: vec![shared],
-            },
-        ],
-    };
+    // Every CPU runs 50 scripts of (scan, bump) on the shared instance.
+    let mut queue = WorkQueue::new();
+    for _ in 0..50 {
+        queue.push_invocation(scan_id, [shared]);
+        queue.push_invocation(bump_id, [shared]);
+        queue.end_script();
+    }
     let mut sampler = Sampler::new(
         16,
         SamplerConfig {
@@ -114,7 +109,7 @@ pub fn run(obs: &Obs) -> Result<(), Box<dyn std::error::Error>> {
             &program,
             &layouts,
             &mut mem,
-            vec![vec![script; 50]; 16],
+            vec![queue; 16],
             &EngineConfig::default(),
             &mut sampler,
         )?

@@ -10,7 +10,7 @@ use slopt::ir::layout::StructLayout;
 use slopt::ir::types::{FieldIdx, FieldType, PrimType, RecordId, RecordType, TypeRegistry};
 use slopt::sample::{concurrency_map, ConcurrencyConfig};
 use slopt::sim::{
-    CacheConfig, EngineConfig, Invocation, LatencyModel, LayoutTable, MemSystem, Script, Topology,
+    CacheConfig, EngineConfig, LatencyModel, LayoutTable, MemSystem, Topology, WorkQueue,
 };
 use slopt_obs::Obs;
 
@@ -128,12 +128,12 @@ fn one_cpu_machine_runs_the_engine() {
         &prog,
         &layouts,
         &mut mem,
-        vec![vec![Script {
-            invocations: vec![Invocation {
-                func: f,
-                bindings: vec![0x1000],
-            }],
-        }]],
+        vec![{
+            let mut queue = WorkQueue::new();
+            queue.push_invocation(f, [0x1000]);
+            queue.end_script();
+            queue
+        }],
         &EngineConfig::default(),
         &mut slopt::sim::NullObserver,
     )

@@ -11,7 +11,7 @@ use slopt::ir::layout::StructLayout;
 use slopt::ir::types::{FieldIdx, FieldType, PrimType, RecordId, RecordType, TypeRegistry};
 use slopt::sample::{concurrency_map, cycle_loss, ConcurrencyConfig, Sampler, SamplerConfig};
 use slopt::sim::{
-    CacheConfig, EngineConfig, Invocation, LatencyModel, LayoutTable, MemSystem, Script, Topology,
+    CacheConfig, EngineConfig, LatencyModel, LayoutTable, MemSystem, Topology, WorkQueue,
 };
 use slopt_obs::Obs;
 
@@ -87,17 +87,14 @@ fn run_and_suggest(bench: &Bench) -> slopt::core::Suggestion {
     );
     let shared = 0x4_0000u64;
     // CPU i runs funcs[i % 3] repeatedly against the shared instance.
-    let workload: Vec<Vec<Script>> = (0..4)
+    let workload: Vec<WorkQueue> = (0..4)
         .map(|cpu: usize| {
-            vec![
-                Script {
-                    invocations: vec![Invocation {
-                        func: bench.funcs[cpu % bench.funcs.len()],
-                        bindings: vec![shared],
-                    }],
-                };
-                20
-            ]
+            let mut queue = WorkQueue::new();
+            for _ in 0..20 {
+                queue.push_invocation(bench.funcs[cpu % bench.funcs.len()], [shared]);
+                queue.end_script();
+            }
+            queue
         })
         .collect();
     let mut sampler = Sampler::new(
@@ -170,17 +167,14 @@ fn suggested_layout_beats_hotness_packing_under_contention() {
             },
         );
         let shared = 0x4_0000u64;
-        let workload: Vec<Vec<Script>> = (0..4)
+        let workload: Vec<WorkQueue> = (0..4)
             .map(|cpu: usize| {
-                vec![
-                    Script {
-                        invocations: vec![Invocation {
-                            func: bench.funcs[cpu % bench.funcs.len()],
-                            bindings: vec![shared],
-                        }],
-                    };
-                    20
-                ]
+                let mut queue = WorkQueue::new();
+                for _ in 0..20 {
+                    queue.push_invocation(bench.funcs[cpu % bench.funcs.len()], [shared]);
+                    queue.end_script();
+                }
+                queue
             })
             .collect();
         slopt::sim::run(
