@@ -49,6 +49,18 @@ echo "$SLBENCH_OUT" | grep -q '"correct": true' \
     || { echo "slbench: fig8_superdome128 outputs differ from slbench/expected/"; echo "$SLBENCH_OUT" | tail -1; exit 1; }
 rm -rf "$SLBENCH_WD"
 
+echo "== slbench traced smoke (serve_stream advice vs slbench/expected/serve_stream.advice) =="
+# The soak below compares live advice with an offline fold, but both
+# sides run through the same windowed fold, and slbench's own tests
+# record their expected files; this is the only committed check of the
+# window fold's advice bytes (at least two passes of ~8.5 s each).
+SLBENCH_WD="$(mktemp -d /tmp/slopt_slbench.XXXXXX)"
+SLBENCH_OUT="$(cargo run --offline --release --manifest-path slbench/Cargo.toml -- \
+    --workload serve_stream --seed 0 --seconds 5 --trace 1 --work-dir "$SLBENCH_WD")"
+echo "$SLBENCH_OUT" | grep -q '"correct": true' \
+    || { echo "slbench: serve_stream advice differs from slbench/expected/"; echo "$SLBENCH_OUT" | tail -1; exit 1; }
+rm -rf "$SLBENCH_WD"
+
 echo "== cargo test (whole workspace) =="
 cargo test --offline -q --workspace
 

@@ -44,33 +44,75 @@
 //! `perf_guard <fresh.json> --baseline <old.json> [--tolerance 0.10]
 //!  [--floor-s 0.05] [--require-speedup cc_stream:2.0]...
 //!  [--require-parallel cc_stream:3.0]...`
+//!
+//! Every flag takes the argument after it as its value, and exactly one
+//! other argument, the fresh report, must remain. An unknown flag, a
+//! flag without a value, or zero or several fresh reports is a usage
+//! error (exit 2); a regression or a missed floor exits 1.
 
 use slopt_obs::json::{parse, Json};
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
-fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
-    args.windows(2)
-        .find(|w| w[0] == name)
-        .map(|w| w[1].as_str())
+const USAGE: &str = "usage: perf_guard <fresh.json> --baseline <old.json> [--tolerance F] \
+                     [--floor-s S] [--require-speedup name:min]... [--require-parallel name:min]...";
+
+/// The parsed command line.
+struct Args {
+    fresh: String,
+    baseline: String,
+    tolerance: f64,
+    floor_s: f64,
+    require_speedup: Vec<(String, f64)>,
+    require_parallel: Vec<(String, f64)>,
 }
 
-/// All values of a repeatable `--flag name:min` argument.
-fn flag_values(args: &[String], name: &str) -> Result<Vec<(String, f64)>, String> {
-    let mut out = Vec::new();
-    for w in args.windows(2) {
-        if w[0] != name {
+/// One `name:min` floor operand of `flag`.
+fn floor_operand(flag: &str, value: &str) -> Result<(String, f64), String> {
+    let bad = || format!("bad {flag} `{value}` (want name:min)");
+    let (bench, min) = value.split_once(':').ok_or_else(bad)?;
+    Ok((bench.to_string(), min.parse().map_err(|_| bad())?))
+}
+
+/// Walks `argv` once: every flag consumes the argument after it, and
+/// exactly one positional argument — the fresh report — must remain.
+fn parse_args(argv: &[String]) -> Result<Args, String> {
+    let mut positional: Vec<&String> = Vec::new();
+    let mut baseline = None;
+    let mut args = Args {
+        fresh: String::new(),
+        baseline: String::new(),
+        tolerance: 0.10,
+        floor_s: 0.05,
+        require_speedup: Vec::new(),
+        require_parallel: Vec::new(),
+    };
+    let mut it = argv.iter();
+    while let Some(arg) = it.next() {
+        if !arg.starts_with("--") {
+            positional.push(arg);
             continue;
         }
-        let (bench, min) = w[1]
-            .split_once(':')
-            .ok_or_else(|| format!("bad {name} `{}` (want name:min)", w[1]))?;
-        let min: f64 = min
-            .parse()
-            .map_err(|_| format!("bad {name} `{}` (want name:min)", w[1]))?;
-        out.push((bench.to_string(), min));
+        let value = it.next().ok_or_else(|| format!("{arg} needs a value"))?;
+        let number = |v: &str| v.parse().map_err(|_| format!("bad {arg} `{v}`"));
+        match arg.as_str() {
+            "--baseline" => baseline = Some(value.clone()),
+            "--tolerance" => args.tolerance = number(value)?,
+            "--floor-s" => args.floor_s = number(value)?,
+            "--require-speedup" => args.require_speedup.push(floor_operand(arg, value)?),
+            "--require-parallel" => args.require_parallel.push(floor_operand(arg, value)?),
+            _ => return Err(format!("unknown flag `{arg}`")),
+        }
     }
-    Ok(out)
+    let [fresh] = positional[..] else {
+        return Err(format!(
+            "expected one fresh report, got {} positional arguments",
+            positional.len()
+        ));
+    };
+    args.fresh = fresh.clone();
+    args.baseline = baseline.ok_or("--baseline is required")?;
+    Ok(args)
 }
 
 /// Everything the gate needs from one perf report.
@@ -148,41 +190,15 @@ fn read_report(path: &str) -> Result<Report, String> {
     Ok(report)
 }
 
-fn run() -> Result<(), String> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let flag_operand = |a: &String| {
-        for flag in [
-            "--baseline",
-            "--tolerance",
-            "--floor-s",
-            "--require-speedup",
-            "--require-parallel",
-        ] {
-            if flag_value(&args, flag) == Some(a.as_str()) {
-                return true;
-            }
-        }
-        false
-    };
-    let fresh_path = args
-        .iter()
-        .find(|a| !a.starts_with("--") && !flag_operand(a))
-        .ok_or("usage: perf_guard <fresh.json> --baseline <old.json>")?
-        .clone();
-    let baseline_path = flag_value(&args, "--baseline")
-        .ok_or("usage: perf_guard <fresh.json> --baseline <old.json>")?
-        .to_string();
-    let tolerance: f64 = match flag_value(&args, "--tolerance") {
-        Some(v) => v.parse().map_err(|_| format!("bad --tolerance `{v}`"))?,
-        None => 0.10,
-    };
-    let floor_s: f64 = match flag_value(&args, "--floor-s") {
-        Some(v) => v.parse().map_err(|_| format!("bad --floor-s `{v}`"))?,
-        None => 0.05,
-    };
-    let require_speedup = flag_values(&args, "--require-speedup")?;
-    let require_parallel = flag_values(&args, "--require-parallel")?;
-
+fn run(args: Args) -> Result<(), String> {
+    let Args {
+        fresh: fresh_path,
+        baseline: baseline_path,
+        tolerance,
+        floor_s,
+        require_speedup,
+        require_parallel,
+    } = args;
     let fresh = read_report(&fresh_path)?;
     let baseline = read_report(&baseline_path)?;
     let mut failed = false;
@@ -279,7 +295,15 @@ fn run() -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    match run() {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = match parse_args(&argv) {
+        Ok(args) => args,
+        Err(msg) => {
+            eprintln!("perf_guard: {msg}\n{USAGE}");
+            return ExitCode::from(slopt_fault::exit::USAGE);
+        }
+    };
+    match run(args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("perf_guard: {msg}");

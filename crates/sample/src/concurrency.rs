@@ -20,7 +20,8 @@
 //!
 //! **Data layout.** Source lines, CPUs and intervals are interned into
 //! dense ids once per run ([`LineInterner`]); the sample stream is
-//! collapsed into sorted distinct `(interval, cpu, line) -> count` cells,
+//! collapsed into sorted distinct `(interval, cpu, line) -> count` cells
+//! by the one cell store, [`WindowedConcurrency`],
 //! and each interval's min-sum runs through the blocked kernel
 //! (`interval_minsum`): the identity `min(a, b) = Σ_t [a ≥ t][b ≥ t]`
 //! rewrites the paper's cross-CPU min-sum as a sum of per-threshold outer
@@ -39,6 +40,7 @@
 //! three produce identical maps.
 
 use crate::sampler::Sample;
+use crate::shard::WindowedConcurrency;
 use slopt_ir::par::par_map;
 use slopt_ir::source::SourceLine;
 use std::collections::HashMap;
@@ -161,8 +163,8 @@ impl ConcurrencyMap {
     }
 
     /// Assembles a map from an interner and a normalized
-    /// `(min_id, max_id) -> cc` pair map. Used by the streaming path
-    /// ([`crate::shard`]) and the snapshot loader ([`crate::snapshot`]);
+    /// `(min_id, max_id) -> cc` pair map. Used by the final fold
+    /// ([`cells_finish`]) and the snapshot loader ([`crate::snapshot`]);
     /// callers must guarantee keys are normalized and non-zero.
     pub(crate) fn from_parts(interner: LineInterner, map: HashMap<(u32, u32), u64>) -> Self {
         debug_assert!(map.iter().all(|(&(a, b), &cc)| a <= b && cc > 0));
@@ -243,9 +245,8 @@ const MERGE_BLOCK: usize = 4096;
 /// which LLVM turns into packed multiply-add.
 const ROW_LANES: usize = 8;
 
-/// Per-pair min-sum accumulator shared by the batch path
-/// ([`concurrency_map`]) and the streaming path
-/// ([`crate::shard::StreamingConcurrency`]): a dense triangular `u64`
+/// Per-pair min-sum accumulator of the shared final fold
+/// ([`WindowedConcurrency::concurrency`]): a dense triangular `u64`
 /// array when the line universe is small, a hash map beyond
 /// ([`DENSE_ACCUMULATOR_LINE_LIMIT`]).
 ///
@@ -439,8 +440,8 @@ impl MinsumScratch {
 /// cpu-pair path instead, which needs no dense per-line vector.
 ///
 /// This is a pure function of the cell slice, which is what makes the
-/// streaming path bit-identical to the batch path: both feed the same
-/// per-interval cells through this one kernel.
+/// map independent of how the samples were batched: every batching
+/// feeds the same per-interval cells through this one kernel.
 pub(crate) fn interval_minsum(
     cells: &[Cell],
     n_lines: usize,
@@ -606,7 +607,7 @@ pub(crate) struct CellsOutcome {
     pub(crate) dense_acc: bool,
 }
 
-/// The shared final fold of both the batch and the streaming path: turns
+/// The final fold of [`WindowedConcurrency::concurrency`]: turns
 /// sorted distinct `(packed cell key, count)` cells into the finished
 /// [`ConcurrencyMap`], fanning per-interval kernels over up to `jobs`
 /// workers and merging their triangular accumulators pairwise.
@@ -742,101 +743,20 @@ pub(crate) fn merge_accumulators(mut accs: Vec<CcAccumulator>, jobs: usize) -> C
     accs.pop().expect("one accumulator remains")
 }
 
-/// Computes the concurrency map from samples.
-///
-/// Samples may be in any order. Each sample's `(interval, cpu, line)`
-/// coordinate is packed into one sortable key; one sort plus a
-/// run-length pass yields the sorted distinct cell list, which the
-/// blocked per-interval kernel ([`interval_minsum`]) folds into the
-/// triangular accumulator — the same cells-first pipeline the streaming
-/// path uses, which is why the two are bit-identical by construction.
+/// Computes the concurrency map from samples: ingest into an unbounded
+/// [`WindowedConcurrency`], then finish. Samples may be in any order.
+/// Each sample's `(interval, cpu, line)` coordinate is packed into one
+/// sortable key; the fold's sort plus run-length pass yields the sorted
+/// distinct cell list, which the blocked per-interval kernel
+/// ([`interval_minsum`]) folds into the triangular accumulator.
 ///
 /// # Panics
 ///
 /// Panics if `cfg.interval` is zero.
 pub fn concurrency_map(samples: &[Sample], cfg: &ConcurrencyConfig) -> ConcurrencyMap {
-    concurrency_map_obs(samples, cfg, &slopt_obs::Obs::disabled())
-}
-
-/// [`concurrency_map`] with instrumentation: wraps the build in a
-/// `cc_build` span and, when `obs` is enabled, flushes interner/cell
-/// statistics as `cc.*` counters (samples bucketed, distinct lines, CPUs
-/// and intervals, occupied cells, non-zero pairs, and whether the dense
-/// triangular accumulator was used).
-///
-/// # Panics
-///
-/// Panics if `cfg.interval` is zero.
-pub fn concurrency_map_obs(
-    samples: &[Sample],
-    cfg: &ConcurrencyConfig,
-    obs: &slopt_obs::Obs,
-) -> ConcurrencyMap {
-    assert!(cfg.interval > 0, "interval must be non-zero");
-    let _span = obs.span("cc_build");
-
-    // An empty trace has no interval structure at all: return the
-    // canonical empty map rather than running the interner/kernel
-    // machinery on zero-length inputs (tests/edge_cases.rs pins this, and
-    // the single-interval / single-CPU cases, down).
-    if samples.is_empty() {
-        return ConcurrencyMap::empty();
-    }
-
-    // Collapse the stream to sorted distinct cells: pack, sort,
-    // run-length.
-    let mut keys: Vec<u128> = samples
-        .iter()
-        .map(|s| pack_cell_key(s.time / cfg.interval, s.cpu.0, s.line.0))
-        .collect();
-    keys.sort_unstable();
-    let mut cells: Vec<(u128, u64)> = Vec::new();
-    for &key in &keys {
-        match cells.last_mut() {
-            Some(last) if last.0 == key => last.1 += 1,
-            _ => cells.push((key, 1)),
-        }
-    }
-
-    let out = cells_finish(&cells, 1);
-    if obs.enabled() {
-        obs.counter("cc.samples_bucketed", samples.len() as u64);
-        obs.counter("cc.lines", out.n_lines as u64);
-        obs.counter("cc.cpus", out.n_cpus as u64);
-        obs.counter("cc.intervals", out.n_intervals as u64);
-        obs.counter("cc.cells", cells.len() as u64);
-        obs.counter("cc.pairs", out.map.len() as u64);
-        obs.gauge(
-            "cc.dense_accumulator",
-            if out.dense_acc { 1.0 } else { 0.0 },
-        );
-        // Per-interval cost distribution: the kernel's work per interval
-        // is quadratic in its occupied cells, so the histogram of cells
-        // per interval is the profile that explains CC build time skew.
-        // Cells are sorted by packed key, so one linear pass suffices;
-        // values are workload-derived, hence deterministic at any --jobs.
-        let mut run = 0u64;
-        let mut current: Option<u64> = None;
-        for &(key, _) in &cells {
-            let interval = (key >> 48) as u64;
-            match current {
-                Some(t) if t == interval => run += 1,
-                Some(_) => {
-                    obs.histogram("cc.interval_cells", run);
-                    current = Some(interval);
-                    run = 1;
-                }
-                None => {
-                    current = Some(interval);
-                    run = 1;
-                }
-            }
-        }
-        if current.is_some() {
-            obs.histogram("cc.interval_cells", run);
-        }
-    }
-    out.map
+    let mut fold = WindowedConcurrency::new(*cfg, u64::MAX);
+    fold.ingest(samples);
+    fold.concurrency_jobs(1)
 }
 
 /// Accumulates one interval's min-sum from its flat `[cpu × line]` count

@@ -18,9 +18,11 @@
 //! The output of step 3 is the negative-edge input of the Field Layout
 //! Graph built in `slopt-core`.
 //!
-//! For production-scale traces, [`shard`] replaces the in-memory trace
-//! with fixed-size on-disk shards and a bounded-memory
-//! [`StreamingConcurrency`] fold that is bit-identical to step 2, and
+//! Step 2 runs through one cell store, [`WindowedConcurrency`]: an
+//! unbounded window for a whole trace, a sliding window of intervals for
+//! the decaying live state of a long-running collector. For
+//! production-scale traces, [`shard`] replaces the in-memory trace with
+//! fixed-size on-disk shards folded one at a time into that store, and
 //! [`snapshot`] persists concurrency maps for checkpointed grid runs.
 
 #![deny(missing_docs)]
@@ -33,14 +35,13 @@ pub mod shard;
 pub mod snapshot;
 
 pub use concurrency::{
-    concurrency_map, concurrency_map_naive, concurrency_map_obs, concurrency_map_reference,
-    ConcurrencyConfig, ConcurrencyMap, LineId, LineInterner,
+    concurrency_map, concurrency_map_naive, concurrency_map_reference, ConcurrencyConfig,
+    ConcurrencyMap, LineId, LineInterner,
 };
 pub use cycleloss::{cycle_loss, cycle_loss_filtered, cycle_loss_weighted, CycleLossMap};
 pub use sampler::{ExactCounter, Sample, Sampler, SamplerConfig};
 pub use shard::{
     decode_shard, encode_shard, read_shard, shard_concurrency, shard_file_name, write_shard,
-    write_shards, ShardError, ShardIngestStats, ShardReader, ShardSpool, StreamingConcurrency,
-    WindowedConcurrency,
+    write_shards, ShardError, ShardIngestStats, ShardReader, ShardSpool, WindowedConcurrency,
 };
 pub use snapshot::{load_concurrency, save_concurrency, SnapshotError};

@@ -13,21 +13,21 @@
 //! * [`ShardReader`] — scans a shard directory and yields each shard's
 //!   samples, reporting malformed files as typed [`ShardError`]s instead
 //!   of panicking.
-//! * [`StreamingConcurrency`] — folds sample batches into **sorted
-//!   runs** of packed `(interval, cpu, line) -> count` cells: batches
-//!   append packed keys to a pending buffer, which is periodically
-//!   sorted, run-length-encoded and linearly merge-added into one sorted
-//!   run (an LSM-style compaction — no hashing on the ingest path, and
-//!   memory proportional to *distinct* cells, not trace length).
-//!   `finish` hands the sorted cells to the batch path's shared
-//!   final fold (`cells_finish`), which fans per-interval kernels over
-//!   workers and merges their triangular accumulators **pairwise** via
-//!   `par_map` — bit-identical to [`crate::concurrency_map`] for every
-//!   shard size and every `--jobs` (see DESIGN.md §11 and §13).
-//! * [`WindowedConcurrency`] — the same fold generalized to a
-//!   **sliding window** of ring-buffered intervals with exact eviction
-//!   of expired intervals: the decaying live state of the `slopt-serve`
-//!   daemon (see DESIGN.md §17).
+//! * [`WindowedConcurrency`] — the one Code Concurrency cell store. It
+//!   folds sample batches into one **sorted run** of packed
+//!   `(interval, cpu, line) -> count` cells: batches append packed keys
+//!   to a pending buffer, which is periodically sorted, run-length-encoded
+//!   and linearly merge-added into the run (an LSM-style compaction — no
+//!   hashing on the ingest path, and memory proportional to *distinct*
+//!   cells, not trace length). A **sliding window** of intervals evicts
+//!   the run's expired prefix exactly (the decaying live state of the
+//!   `slopt-serve` daemon, DESIGN.md §17); a window of `u64::MAX`
+//!   intervals never evicts (the batch and directory folds).
+//!   `concurrency` hands the sorted cells to the shared final fold
+//!   (`cells_finish`), which fans per-interval kernels over workers and
+//!   merges their triangular accumulators **pairwise** via `par_map` —
+//!   the same map for every batching, shard size and `--jobs` (see
+//!   DESIGN.md §11 and §13).
 //! * [`shard_concurrency`] — the end-to-end fold over a directory:
 //!   malformed, truncated or missing shards are *skipped*, counted in
 //!   [`ShardIngestStats`] and as `warn.shard.*` counters, never a panic.
@@ -54,14 +54,16 @@
 //! `[min_time, max_time]`; readers verify both plus the exact file
 //! length, so truncation and corruption are detected structurally.
 
-use crate::concurrency::{cells_finish, pack_cell_key, ConcurrencyConfig, ConcurrencyMap};
+use crate::concurrency::{
+    cells_finish, pack_cell_key, unpack_cell_key, ConcurrencyConfig, ConcurrencyMap,
+};
 use crate::sampler::{Sample, Sampler, SamplerConfig};
 use slopt_ir::cfg::{BlockId, FuncId};
 use slopt_ir::par::par_map;
 use slopt_ir::source::SourceLine;
 use slopt_obs::Obs;
 use slopt_sim::{CpuId, Observer};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::fs;
 use std::io::{self, Write};
@@ -408,213 +410,113 @@ impl ShardIngestStats {
 /// `O(n log n)` in ingested samples.
 const PENDING_COMPACT_MIN: usize = 64 * 1024;
 
-/// The LSM-style cell store behind both [`StreamingConcurrency`] and
-/// each interval of [`WindowedConcurrency`]: raw packed cell keys append
-/// to a pending buffer, which compaction sorts, run-length-encodes and
-/// linearly merge-adds into one sorted run of distinct cells with exact
-/// `u64` counts — no hashing on the ingest path, and memory proportional
-/// to *distinct* cells, not trace length.
-#[derive(Clone, Debug, Default)]
+/// The LSM-style cell store behind [`WindowedConcurrency`]: raw packed
+/// cell keys append to a pending buffer, which compaction sorts,
+/// run-length-encodes and linearly merge-adds into one sorted run of
+/// distinct cells with exact `u64` counts — no hashing on the ingest
+/// path, and memory proportional to *distinct* cells, not trace length.
+#[derive(Clone, Debug)]
 struct SortedRun {
     /// Sorted distinct packed cells (`pack_cell_key` order =
-    /// `(interval, cpu, line)` order) with exact sample counts.
-    sorted: Vec<(u128, u64)>,
+    /// `(interval, cpu, line)` order) with exact sample counts. A deque,
+    /// so eviction pops expired cells off the front in place.
+    sorted: VecDeque<(u128, u64)>,
     /// Raw packed keys not yet folded into `sorted`.
     pending: Vec<u128>,
+    /// The smallest key in `pending` (`u128::MAX` when it is empty).
+    pending_min: u128,
 }
 
 impl SortedRun {
+    fn new() -> Self {
+        SortedRun {
+            sorted: VecDeque::new(),
+            pending: Vec::new(),
+            pending_min: u128::MAX,
+        }
+    }
+
+    fn push(&mut self, key: u128) {
+        self.pending.push(key);
+        self.pending_min = self.pending_min.min(key);
+    }
+
     /// Compacts once the pending buffer reaches [`PENDING_COMPACT_MIN`]
     /// and the sorted run's length.
     fn maybe_compact(&mut self) {
         if self.pending.len() >= PENDING_COMPACT_MIN.max(self.sorted.len()) {
-            self.compacted();
+            self.compact();
         }
     }
 
-    /// Folds every pending key into the sorted run and returns it.
-    fn compacted(&mut self) -> &[(u128, u64)] {
-        if !self.pending.is_empty() {
-            self.pending.sort_unstable();
-            let mut run: Vec<(u128, u64)> = Vec::new();
-            for &key in &self.pending {
-                match run.last_mut() {
-                    Some(last) if last.0 == key => last.1 += 1,
-                    _ => run.push((key, 1)),
-                }
+    /// Folds every pending key into the sorted run.
+    fn compact(&mut self) {
+        if self.pending.is_empty() {
+            return;
+        }
+        self.pending.sort_unstable();
+        let mut run: Vec<(u128, u64)> = Vec::new();
+        for &key in &self.pending {
+            match run.last_mut() {
+                Some(last) if last.0 == key => last.1 += 1,
+                _ => run.push((key, 1)),
             }
-            self.pending.clear();
-            let a = std::mem::take(&mut self.sorted);
-            self.sorted = merge_sorted_runs(a, run);
         }
-        &self.sorted
+        self.pending.clear();
+        self.pending_min = u128::MAX;
+        self.merge_run(run);
     }
 
-    /// Merge-adds `other` into `self` (both compacted first).
+    /// Merge-adds a sorted distinct run. A run that sorts wholly after
+    /// the stored cells — a stream arriving in time order — appends.
+    fn merge_run(&mut self, run: Vec<(u128, u64)>) {
+        match (self.sorted.back(), run.first()) {
+            (None, _) => self.sorted = run.into(),
+            (Some(last), Some(first)) if last.0 >= first.0 => {
+                self.sorted = merge_sorted_runs(self.sorted.make_contiguous(), &run).into();
+            }
+            _ => self.sorted.extend(run),
+        }
+    }
+
+    /// The compacted cells as one sorted slice.
+    fn cells(&mut self) -> &[(u128, u64)] {
+        self.compact();
+        self.sorted.make_contiguous()
+    }
+
+    /// Merge-adds `other` into `self`.
     fn merge(&mut self, mut other: SortedRun) {
-        self.compacted();
-        other.compacted();
-        let a = std::mem::take(&mut self.sorted);
-        self.sorted = merge_sorted_runs(a, other.sorted);
+        self.compact();
+        other.compact();
+        self.merge_run(other.sorted.into());
     }
-}
 
-/// Bounded-memory Code Concurrency: folds sample batches into one
-/// **sorted run** of packed `(interval, cpu, line) -> count` cells and
-/// hands it to the batch path's shared final fold at
-/// [`finish`](StreamingConcurrency::finish).
-///
-/// Ingestion appends packed `u128` keys to a pending buffer; when the
-/// buffer grows past the sorted run's length it is sorted,
-/// run-length-encoded and linearly merge-added into the run — an
-/// LSM-style compaction with no hashing and sequential memory traffic,
-/// shared with [`WindowedConcurrency`]. Cell counts are exact `u64`
-/// sums, so the final run is independent of how the trace was
-/// partitioned into batches (any shard size, any ingestion order), and
-/// two folders over disjoint parts of a trace can be
-/// [`merge`](StreamingConcurrency::merge)d without changing the result —
-/// the basis of the parallel directory fold.
-///
-/// Peak memory is `O(distinct (interval, cpu, line) cells)` — for the
-/// paper's parameters (~12 samples per CPU per interval over a few
-/// hundred lines) orders of magnitude below the trace length — plus the
-/// bounded pending buffer and one shard's samples during ingestion.
-///
-/// # Example
-///
-/// ```
-/// use slopt_ir::cfg::{BlockId, FuncId};
-/// use slopt_ir::source::SourceLine;
-/// use slopt_sample::{ConcurrencyConfig, Sample, StreamingConcurrency};
-/// use slopt_sim::CpuId;
-///
-/// let mk = |cpu: u16, time: u64, line: u32| Sample {
-///     cpu: CpuId(cpu),
-///     time,
-///     func: FuncId(0),
-///     block: BlockId(0),
-///     line: SourceLine(line),
-/// };
-/// let mut stream = StreamingConcurrency::new(ConcurrencyConfig { interval: 100 });
-/// stream.ingest(&[mk(0, 10, 1)]); // cpu 0 in line 1 ...
-/// stream.ingest(&[mk(1, 20, 2)]); // ... cpu 1 in line 2, same interval
-/// let map = stream.finish(1, &slopt_obs::Obs::disabled());
-/// assert_eq!(map.get(SourceLine(1), SourceLine(2)), 1);
-/// ```
-#[derive(Clone, Debug)]
-pub struct StreamingConcurrency {
-    cfg: ConcurrencyConfig,
-    run: SortedRun,
-    samples: u64,
-}
-
-impl StreamingConcurrency {
-    /// An empty stream folder.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg.interval` is zero.
-    pub fn new(cfg: ConcurrencyConfig) -> Self {
-        assert!(cfg.interval > 0, "interval must be non-zero");
-        StreamingConcurrency {
-            cfg,
-            run: SortedRun::default(),
-            samples: 0,
+    /// Removes every cell whose key sorts below `cut` and returns their
+    /// sample count. Pending keys are compacted first only if one of
+    /// them is below `cut`: in a time-ordered stream that happens once
+    /// per window's worth of intervals, so sliding costs one pop per
+    /// expired cell plus each key's one sort.
+    fn evict_below(&mut self, cut: u128) -> u64 {
+        if self.pending_min < cut {
+            self.compact();
         }
-    }
-
-    /// Folds a batch of samples (any order) into the cell store. Cell
-    /// increments commute, so any partition of the trace into batches —
-    /// any shard size, any ingestion order — yields the same cell store.
-    pub fn ingest(&mut self, samples: &[Sample]) {
-        self.run.pending.extend(
-            samples
-                .iter()
-                .map(|s| pack_cell_key(s.time / self.cfg.interval, s.cpu.0, s.line.0)),
-        );
-        self.samples += samples.len() as u64;
-        self.run.maybe_compact();
-    }
-
-    /// Reads and folds one shard file.
-    pub fn ingest_shard(&mut self, path: &Path) -> Result<usize, ShardError> {
-        let samples = read_shard(path)?;
-        self.ingest(&samples);
-        Ok(samples.len())
-    }
-
-    /// Total samples folded so far.
-    pub fn samples(&self) -> u64 {
-        self.samples
-    }
-
-    /// Folds `other` (a folder over a disjoint or overlapping part of
-    /// the trace, same interval config) into `self`: one linear
-    /// merge-add of the two sorted runs. Exact and commutative, so the
-    /// parallel directory fold can ingest shard chunks independently and
-    /// merge the partial folders in any order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two folders were built with different interval
-    /// lengths — their interval indices would not be comparable.
-    pub fn merge(&mut self, other: StreamingConcurrency) {
-        assert_eq!(
-            self.cfg.interval, other.cfg.interval,
-            "merge requires identical interval config"
-        );
-        self.run.merge(other.run);
-        self.samples += other.samples;
-    }
-
-    /// Computes the final [`ConcurrencyMap`], fanning the per-interval
-    /// min-sums out over up to `jobs` threads. Bit-identical to
-    /// [`crate::concurrency_map`] on the union of all ingested samples,
-    /// for every `jobs` value: the sorted cells go through the batch
-    /// path's shared final fold, which partitions intervals into
-    /// contiguous groups, replays each group through the blocked
-    /// per-interval kernel into a private triangular accumulator, and
-    /// reduces the accumulators pairwise by exact `u64` addition
-    /// (commutative and associative, hence independent of grouping and
-    /// merge order).
-    ///
-    /// Instrumented through `obs`: a `cc_build` span plus the batch
-    /// path's `cc.*` counters and streaming-specific `cc.stream_*`
-    /// counters.
-    pub fn finish(mut self, jobs: usize, obs: &Obs) -> ConcurrencyMap {
-        let _span = obs.span("cc_build");
-        let cells = self.run.compacted();
-        if cells.is_empty() {
-            return ConcurrencyMap::empty();
+        let mut evicted = 0;
+        while let Some(&(key, count)) = self.sorted.front() {
+            if key >= cut {
+                break;
+            }
+            evicted += count;
+            self.sorted.pop_front();
         }
-        let out = cells_finish(cells, jobs);
-        if obs.enabled() {
-            obs.counter("cc.samples_bucketed", self.samples);
-            obs.counter("cc.lines", out.n_lines as u64);
-            obs.counter("cc.cpus", out.n_cpus as u64);
-            obs.counter("cc.intervals", out.n_intervals as u64);
-            obs.counter("cc.pairs", out.map.len() as u64);
-            obs.counter("cc.stream_cells", cells.len() as u64);
-            obs.counter("cc.stream_groups", out.groups as u64);
-            obs.gauge(
-                "cc.dense_accumulator",
-                if out.dense_acc { 1.0 } else { 0.0 },
-            );
-        }
-        out.map
+        evicted
     }
 }
 
 /// Linear merge-add of two key-sorted distinct runs: counts of equal
 /// keys sum exactly, so the result is independent of which side a
 /// sample landed on.
-fn merge_sorted_runs(a: Vec<(u128, u64)>, b: Vec<(u128, u64)>) -> Vec<(u128, u64)> {
-    if a.is_empty() {
-        return b;
-    }
-    if b.is_empty() {
-        return a;
-    }
+fn merge_sorted_runs(a: &[(u128, u64)], b: &[(u128, u64)]) -> Vec<(u128, u64)> {
     let mut out = Vec::with_capacity(a.len() + b.len());
     let (mut i, mut j) = (0usize, 0usize);
     while i < a.len() && j < b.len() {
@@ -639,43 +541,45 @@ fn merge_sorted_runs(a: Vec<(u128, u64)>, b: Vec<(u128, u64)>) -> Vec<(u128, u64
     out
 }
 
-/// One interval's cells inside the window ring: a private LSM fold of
-/// exactly the samples whose `time / interval` equals `interval`.
-#[derive(Clone, Debug)]
-struct IntervalFold {
-    /// The interval index this slot currently holds.
-    interval: u64,
-    /// This interval's cells.
-    run: SortedRun,
-    /// Samples folded into this interval.
-    samples: u64,
-}
-
-/// [`StreamingConcurrency`] generalized to a **sliding window of
-/// intervals**: the decaying Code Concurrency state of a long-lived
-/// collection service (`slopt-serve`), where old traffic must stop
-/// influencing layout advice.
+/// The Code Concurrency fold: sample batches fold into one **sorted
+/// run** of packed `(interval, cpu, line) -> count` cells over a
+/// **sliding window** of the `window` most recent intervals, and
+/// [`concurrency`](WindowedConcurrency::concurrency) hands the retained
+/// cells to the shared final fold. It is the only cell store: the batch
+/// [`crate::concurrency_map`], the parallel directory fold
+/// ([`shard_concurrency`]) and the `slopt-serve` daemon's decaying state
+/// all run through it.
 ///
-/// Samples fold into a ring of per-interval cell stores, one slot per
-/// interval index modulo the window length `W`. The retained range is
-/// always the `W` most recent intervals `(newest - W, newest]`; when a
-/// sample advances `newest`, every slot whose interval falls out of the
-/// range is **evicted exactly** — the slot holds precisely that
-/// interval's cells, so eviction removes exactly the expired samples'
-/// contribution, never an approximation. Samples older than the current
-/// window at arrival are counted as [`late_dropped`] and never folded
-/// (counted, not silent). `W = ∞` degenerates to
-/// [`StreamingConcurrency`], whose single unbounded run this type
-/// splits per interval.
+/// Ingestion appends packed `u128` keys to a pending buffer; when the
+/// buffer grows past the sorted run's length it is sorted,
+/// run-length-encoded and linearly merge-added into the run — an
+/// LSM-style compaction with no hashing and sequential memory traffic.
+/// Cell counts are exact `u64` sums, so the run is independent of how
+/// the trace was partitioned into batches, and two folds over parts of
+/// a trace can be [`merge`](WindowedConcurrency::merge)d.
 ///
-/// Determinism: the retained state is a pure function of the *accepted*
-/// sample multiset and the final `newest` interval — per-interval cell
-/// counts are exact `u64` sums (batch-partitioning-independent, like
-/// the unbounded fold), and eviction only ever removes whole intervals
-/// below `newest - W + 1`. In particular, when an ingest sequence spans
-/// at most `W` intervals, *every* interleaving of its batches accepts
-/// every sample and converges to the same state — the basis of the
-/// serve daemon's differential contract against an offline fold.
+/// **The window.** The retained range is `[newest - window + 1,
+/// newest]`, where `newest` is the highest interval index accepted so
+/// far. Keys order by interval first, so the retained cells are always a
+/// suffix of the run: when a sample advances `newest`, the prefix below
+/// the new start is **evicted exactly** — precisely the expired samples'
+/// cells, never an approximation. Samples older than the window at
+/// arrival are counted as [`late_dropped`] and never folded. A window of
+/// `u64::MAX` intervals is unbounded: nothing is evicted or dropped.
+/// Nothing is allocated in proportion to the window.
+///
+/// Determinism: the retained cells are a pure function of the sample
+/// multiset and the final `newest` interval — a sample inside the final
+/// window was inside the window at its arrival too, so it was accepted
+/// whatever the ingest order. In particular, when an ingest sequence
+/// spans at most `window` intervals, *every* interleaving of its batches
+/// accepts every sample and converges to the same state — the basis of
+/// the serve daemon's differential contract against an offline fold.
+///
+/// Peak memory is `O(distinct (interval, cpu, line) cells)` in the
+/// window — for the paper's parameters (~12 samples per CPU per interval
+/// over a few hundred lines) orders of magnitude below the trace length
+/// — plus the bounded pending buffer.
 ///
 /// [`late_dropped`]: WindowedConcurrency::late_dropped
 ///
@@ -684,6 +588,7 @@ struct IntervalFold {
 /// ```
 /// use slopt_ir::cfg::{BlockId, FuncId};
 /// use slopt_ir::source::SourceLine;
+/// use slopt_obs::Obs;
 /// use slopt_sample::{ConcurrencyConfig, Sample, WindowedConcurrency};
 /// use slopt_sim::CpuId;
 ///
@@ -694,20 +599,25 @@ struct IntervalFold {
 ///     block: BlockId(0),
 ///     line: SourceLine(line),
 /// };
+/// let cfg = ConcurrencyConfig { interval: 100 };
 /// // Two intervals retained, 100 cycles each.
-/// let mut win = WindowedConcurrency::new(ConcurrencyConfig { interval: 100 }, 2);
+/// let mut win = WindowedConcurrency::new(cfg, 2);
 /// win.ingest(&[mk(0, 10, 1), mk(1, 20, 2)]); // interval 0
-/// assert_eq!(win.concurrency_jobs(1).get(SourceLine(1), SourceLine(2)), 1);
+/// assert_eq!(win.concurrency(1, &Obs::disabled()).get(SourceLine(1), SourceLine(2)), 1);
 /// win.ingest(&[mk(0, 250, 3)]); // interval 2 — interval 0 expires
-/// assert_eq!(win.concurrency_jobs(1).get(SourceLine(1), SourceLine(2)), 0);
+/// assert_eq!(win.concurrency(1, &Obs::disabled()).get(SourceLine(1), SourceLine(2)), 0);
 /// assert_eq!(win.evicted_samples(), 2);
+///
+/// // The unbounded window keeps everything.
+/// let mut all = WindowedConcurrency::new(cfg, u64::MAX);
+/// all.ingest(&[mk(0, 10, 1), mk(1, 20, 2), mk(0, 250, 3)]);
+/// assert_eq!(all.concurrency(1, &Obs::disabled()).get(SourceLine(1), SourceLine(2)), 1);
 /// ```
 #[derive(Clone, Debug)]
 pub struct WindowedConcurrency {
     cfg: ConcurrencyConfig,
     window: u64,
-    /// `window` slots; slot `i % window` holds interval `i` (or nothing).
-    ring: Vec<Option<IntervalFold>>,
+    run: SortedRun,
     /// Highest interval index accepted so far.
     newest: Option<u64>,
     accepted: u64,
@@ -716,8 +626,8 @@ pub struct WindowedConcurrency {
 }
 
 impl WindowedConcurrency {
-    /// An empty windowed folder retaining the `window` most recent
-    /// intervals of `cfg.interval` cycles each.
+    /// An empty fold retaining the `window` most recent intervals of
+    /// `cfg.interval` cycles each; `u64::MAX` retains every interval.
     ///
     /// # Panics
     ///
@@ -728,7 +638,7 @@ impl WindowedConcurrency {
         WindowedConcurrency {
             cfg,
             window,
-            ring: vec![None; window as usize],
+            run: SortedRun::new(),
             newest: None,
             accepted: 0,
             evicted: 0,
@@ -746,10 +656,19 @@ impl WindowedConcurrency {
         self.window
     }
 
+    /// The oldest interval retained while `newest` is the newest.
+    fn start(&self, newest: u64) -> u64 {
+        if self.window == u64::MAX {
+            0
+        } else {
+            newest.saturating_sub(self.window - 1)
+        }
+    }
+
     /// The retained interval range `[start, newest]`, or `None` before
     /// the first accepted sample.
     pub fn window_range(&self) -> Option<(u64, u64)> {
-        self.newest.map(|n| (n.saturating_sub(self.window - 1), n))
+        self.newest.map(|n| (self.start(n), n))
     }
 
     /// Samples accepted (folded) so far, including since-evicted ones.
@@ -778,74 +697,115 @@ impl WindowedConcurrency {
     /// samples were late-dropped.
     pub fn ingest(&mut self, samples: &[Sample]) -> u64 {
         let before = self.late_dropped;
+        self.run.pending.reserve(samples.len());
         for s in samples {
             let idx = s.time / self.cfg.interval;
             match self.newest {
                 Some(newest) if idx <= newest => {
-                    if idx < newest.saturating_sub(self.window - 1) {
+                    if idx < self.start(newest) {
                         self.late_dropped += 1;
                         continue;
                     }
                 }
-                Some(newest) => self.advance(newest, idx),
-                None => self.newest = Some(idx),
+                _ => self.slide_to(idx),
             }
-            let slot = &mut self.ring[(idx % self.window) as usize];
-            let fold = slot.get_or_insert_with(|| IntervalFold {
-                interval: idx,
-                run: SortedRun::default(),
-                samples: 0,
-            });
-            debug_assert_eq!(fold.interval, idx, "slot must be evicted before reuse");
-            fold.run.pending.push(pack_cell_key(idx, s.cpu.0, s.line.0));
-            fold.samples += 1;
+            self.run.push(pack_cell_key(idx, s.cpu.0, s.line.0));
             self.accepted += 1;
-            fold.run.maybe_compact();
         }
+        self.run.maybe_compact();
         self.late_dropped - before
     }
 
-    /// Slides the window forward to `idx`, exactly evicting every slot
-    /// whose interval falls below the new start. Only the ring positions
-    /// the advance passes over can expire, so the sweep is
-    /// `O(min(advance, window))`.
-    fn advance(&mut self, newest: u64, idx: u64) {
-        let start = idx.saturating_sub(self.window - 1);
-        let first = (newest + 1).max(start);
-        for k in first..=idx {
-            if let Some(fold) = self.ring[(k % self.window) as usize].take() {
-                debug_assert!(fold.interval < start, "only expired slots are swept");
-                self.evicted += fold.samples;
-            }
-        }
+    /// Makes `idx` the newest interval and evicts the cells that fall
+    /// below the new start.
+    fn slide_to(&mut self, idx: u64) {
         self.newest = Some(idx);
+        let cut = pack_cell_key(self.start(idx), 0, 0);
+        self.evicted += self.run.evict_below(cut);
+    }
+
+    /// Folds `other` (same interval and window) into `self`: one linear
+    /// merge-add of the two sorted runs, then a slide to the newer of the
+    /// two anchors. The retained cells equal those of one fold over both
+    /// parts' samples, in either order. The counters add up; with the
+    /// unbounded window they too equal the single fold's, which is what
+    /// lets the parallel directory fold ingest shard chunks independently
+    /// and merge the partial folds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two folds differ in interval length or window.
+    pub fn merge(&mut self, other: WindowedConcurrency) {
+        assert_eq!(
+            (self.cfg.interval, self.window),
+            (other.cfg.interval, other.window),
+            "merge requires identical interval and window"
+        );
+        self.run.merge(other.run);
+        self.accepted += other.accepted;
+        self.evicted += other.evicted;
+        self.late_dropped += other.late_dropped;
+        if let Some(newest) = self.newest.max(other.newest) {
+            self.slide_to(newest);
+        }
     }
 
     /// The window's sorted distinct cells — the live state an advice
-    /// fingerprint hashes. Per-interval runs occupy disjoint key ranges
-    /// (the interval index is the key's top bits), so concatenating the
-    /// occupied slots in interval order *is* the globally sorted run.
+    /// fingerprint hashes.
     pub fn cells_snapshot(&mut self) -> Vec<(u128, u64)> {
-        let mut slots: Vec<&mut IntervalFold> = self.ring.iter_mut().flatten().collect();
-        slots.sort_by_key(|f| f.interval);
-        let mut out = Vec::new();
-        for fold in slots {
-            out.extend_from_slice(fold.run.compacted());
-        }
-        out
+        self.run.cells().to_vec()
     }
 
-    /// The Code Concurrency map of the live window, fanned over up to
-    /// `jobs` threads. Bit-identical to [`crate::concurrency_map`] over
-    /// exactly the retained samples, for every `jobs` value — the cells
-    /// go through the same shared final fold as the batch and streaming
-    /// paths.
-    pub fn concurrency_jobs(&mut self, jobs: usize) -> ConcurrencyMap {
-        let cells = self.cells_snapshot();
+    /// The Code Concurrency map of the retained cells, fanning the
+    /// per-interval min-sums out over up to `jobs` threads. Bit-identical
+    /// to [`crate::concurrency_map`] over exactly the retained samples,
+    /// for every `jobs` value: the shared final fold partitions intervals
+    /// into contiguous groups, replays each group through the blocked
+    /// per-interval kernel into a private triangular accumulator, and
+    /// reduces the accumulators pairwise by exact `u64` addition
+    /// (commutative and associative, hence independent of grouping and
+    /// merge order).
+    ///
+    /// Instrumented through `obs`: a `cc_build` span and, when enabled,
+    /// the `cc.*` counters (samples bucketed, distinct lines, CPUs and
+    /// intervals, cells, non-zero pairs, interval groups, whether the
+    /// dense triangular accumulator was used) plus the
+    /// `cc.interval_cells` histogram of cells per interval — the
+    /// kernel's work per interval is quadratic in its cells, so this is
+    /// the profile that explains build-time skew.
+    pub fn concurrency(&mut self, jobs: usize, obs: &Obs) -> ConcurrencyMap {
+        let _span = obs.span("cc_build");
+        let samples = self.retained_samples();
+        let cells = self.run.cells();
         if cells.is_empty() {
             return ConcurrencyMap::empty();
         }
-        cells_finish(&cells, jobs).map
+        let out = cells_finish(cells, jobs);
+        if obs.enabled() {
+            obs.counter("cc.samples_bucketed", samples);
+            obs.counter("cc.lines", out.n_lines as u64);
+            obs.counter("cc.cpus", out.n_cpus as u64);
+            obs.counter("cc.intervals", out.n_intervals as u64);
+            obs.counter("cc.cells", cells.len() as u64);
+            obs.counter("cc.pairs", out.map.len() as u64);
+            obs.counter("cc.stream_cells", cells.len() as u64);
+            obs.counter("cc.stream_groups", out.groups as u64);
+            obs.gauge(
+                "cc.dense_accumulator",
+                if out.dense_acc { 1.0 } else { 0.0 },
+            );
+            let interval_of = |&(key, _): &(u128, u64)| unpack_cell_key(key).0;
+            for interval in cells.chunk_by(|a, b| interval_of(a) == interval_of(b)) {
+                obs.histogram("cc.interval_cells", interval.len() as u64);
+            }
+        }
+        out.map
+    }
+
+    /// [`concurrency`](WindowedConcurrency::concurrency) without
+    /// instrumentation.
+    pub fn concurrency_jobs(&mut self, jobs: usize) -> ConcurrencyMap {
+        self.concurrency(jobs, &Obs::disabled())
     }
 }
 
@@ -859,11 +819,11 @@ impl WindowedConcurrency {
 /// counts surface in `--stats` output.
 ///
 /// Ingestion fans the shard list out as up to `jobs` contiguous chunks,
-/// each folded by a private [`StreamingConcurrency`]; the partial
-/// folders then [`merge`](StreamingConcurrency::merge) in index order.
-/// Cell counts sum exactly, so the merged cell store — and hence the
-/// final map, the stats and the warning order — are identical to the
-/// serial fold's for every `jobs` value.
+/// each folded by a private unbounded [`WindowedConcurrency`]; the
+/// partial folds then [`merge`](WindowedConcurrency::merge) in index
+/// order. Cell counts sum exactly, so the merged cell store — and hence
+/// the final map, the stats and the warning order — are identical to
+/// the serial fold's for every `jobs` value.
 ///
 /// Shard sets smaller than [`PARALLEL_INGEST_MIN_BYTES`] in total ingest
 /// serially: decoding a megabyte of records is cheaper than spawning
@@ -875,7 +835,7 @@ pub fn shard_concurrency(
     jobs: usize,
     obs: &Obs,
 ) -> io::Result<(ConcurrencyMap, ShardIngestStats)> {
-    let mut stream = StreamingConcurrency::new(cfg);
+    let mut fold = WindowedConcurrency::new(cfg, u64::MAX);
     let mut stats = ShardIngestStats::default();
     {
         let _span = obs.span("shard_ingest");
@@ -894,29 +854,29 @@ pub fn shard_concurrency(
         };
         let chunk_size = paths.len().div_ceil(jobs.max(1)).max(1);
         let chunks: Vec<&[PathBuf]> = paths.chunks(chunk_size).collect();
-        type ChunkFold = (StreamingConcurrency, u64, u64, Vec<(PathBuf, ShardError)>);
+        type ChunkFold = (WindowedConcurrency, u64, Vec<(PathBuf, ShardError)>);
         let partials: Vec<ChunkFold> = par_map(jobs, &chunks, |_, chunk| {
-            let mut partial = StreamingConcurrency::new(cfg);
-            let (mut ok, mut samples) = (0u64, 0u64);
+            let mut partial = WindowedConcurrency::new(cfg, u64::MAX);
+            let mut ok = 0u64;
             let mut skips: Vec<(PathBuf, ShardError)> = Vec::new();
             for path in *chunk {
-                match partial.ingest_shard(path) {
-                    Ok(n) => {
+                match read_shard(path) {
+                    Ok(samples) => {
+                        partial.ingest(&samples);
                         ok += 1;
-                        samples += n as u64;
                     }
                     Err(err) => skips.push((path.clone(), err)),
                 }
             }
-            (partial, ok, samples, skips)
+            (partial, ok, skips)
         });
         // Fold partials in chunk (= shard index) order: the merged cell
         // store is chunking-independent, and skip warnings replay in the
         // same order the serial fold would emit them.
-        for (partial, ok, samples, skips) in partials {
-            stream.merge(partial);
+        for (partial, ok, skips) in partials {
+            stats.samples += partial.accepted();
+            fold.merge(partial);
             stats.shards_ok += ok;
-            stats.samples += samples;
             for (path, err) in skips {
                 stats.shards_skipped += 1;
                 *stats.skipped_by_reason.entry(err.reason_key()).or_insert(0) += 1;
@@ -934,7 +894,7 @@ pub fn shard_concurrency(
             }
         }
     }
-    Ok((stream.finish(jobs, obs), stats))
+    Ok((fold.concurrency(jobs, obs), stats))
 }
 
 /// An [`Observer`] that spools samples to shards as they are collected,
@@ -1151,11 +1111,13 @@ mod tests {
         let batch = concurrency_map(&samples, &cfg);
         for shard_size in [1, 7, 64, 500, 10_000] {
             for jobs in [1, 3, 8] {
-                let mut stream = StreamingConcurrency::new(cfg);
+                let mut fold = WindowedConcurrency::new(cfg, u64::MAX);
                 for chunk in samples.chunks(shard_size) {
-                    stream.ingest(chunk);
+                    assert_eq!(fold.ingest(chunk), 0, "the unbounded fold drops nothing");
                 }
-                let got = stream.finish(jobs, &Obs::disabled());
+                assert_eq!(fold.accepted(), samples.len() as u64);
+                assert_eq!(fold.evicted_samples(), 0);
+                let got = fold.concurrency(jobs, &Obs::disabled());
                 assert_eq!(
                     got, batch,
                     "shard_size={shard_size} jobs={jobs} must match batch"
@@ -1220,7 +1182,7 @@ mod tests {
                 assert_eq!(win.retained_samples(), retained.len() as u64);
                 for jobs in [1, 2, 4] {
                     assert_eq!(
-                        win.clone().concurrency_jobs(jobs),
+                        win.clone().concurrency(jobs, &Obs::disabled()),
                         concurrency_map(&retained, &cfg),
                         "window={window} batch={batch_size} jobs={jobs}"
                     );
@@ -1248,29 +1210,91 @@ mod tests {
         assert_eq!(win.retained_samples(), 1);
         // The surviving state equals a batch over exactly interval 3.
         assert_eq!(
-            win.concurrency_jobs(1),
+            win.concurrency(1, &Obs::disabled()),
             concurrency_map(&[sample(1, 35, 4)], &cfg)
         );
     }
 
-    #[test]
-    fn windowed_unbounded_window_matches_streaming() {
-        let samples = mixed_trace(400);
-        let cfg = ConcurrencyConfig { interval: 100 };
-        let mut stream = StreamingConcurrency::new(cfg);
-        stream.ingest(&samples);
-        // 1000 cycles / interval 100 = at most 10 intervals: a window of
-        // 16 never evicts, so the generalization degenerates exactly.
-        let mut win = WindowedConcurrency::new(cfg, 16);
-        win.ingest(&samples);
-        assert_eq!(win.late_dropped() + win.evicted_samples(), 0);
-        assert_eq!(win.concurrency_jobs(2), stream.finish(2, &Obs::disabled()));
+    /// Counters, window and cells: everything a fold exposes.
+    type FoldState = (u64, u64, u64, Option<(u64, u64)>, Vec<(u128, u64)>);
+
+    fn fold_state(fold: &mut WindowedConcurrency) -> FoldState {
+        let cells = fold.cells_snapshot();
+        (
+            fold.accepted(),
+            fold.late_dropped(),
+            fold.evicted_samples(),
+            fold.window_range(),
+            cells,
+        )
     }
 
     #[test]
-    fn streaming_empty_is_empty() {
-        let stream = StreamingConcurrency::new(ConcurrencyConfig { interval: 100 });
-        assert_eq!(stream.finish(1, &Obs::disabled()), ConcurrencyMap::empty());
+    fn merged_chunk_folds_equal_one_fold_in_either_order() {
+        let samples = mixed_trace(700);
+        let cfg = ConcurrencyConfig { interval: 100 };
+        for window in [u64::MAX, 3] {
+            let mut whole = WindowedConcurrency::new(cfg, window);
+            whole.ingest(&samples);
+            let whole_map = whole.concurrency(1, &Obs::disabled());
+            for chunk in [1, 64, 233, 700] {
+                let parts: Vec<WindowedConcurrency> = samples
+                    .chunks(chunk)
+                    .map(|part| {
+                        let mut fold = WindowedConcurrency::new(cfg, window);
+                        fold.ingest(part);
+                        fold
+                    })
+                    .collect();
+                let mut forward = WindowedConcurrency::new(cfg, window);
+                let mut reverse = WindowedConcurrency::new(cfg, window);
+                for part in parts.iter().cloned() {
+                    forward.merge(part);
+                }
+                for part in parts.into_iter().rev() {
+                    reverse.merge(part);
+                }
+                let at = format!("window={window} chunk={chunk}");
+                if window == u64::MAX {
+                    // Unbounded: cells and every counter match.
+                    assert_eq!(fold_state(&mut forward), fold_state(&mut whole), "{at}");
+                    assert_eq!(fold_state(&mut reverse), fold_state(&mut whole), "{at}");
+                } else {
+                    // Bounded: the retained cells and the window match.
+                    assert_eq!(forward.window_range(), whole.window_range(), "{at}");
+                    assert_eq!(forward.cells_snapshot(), whole.cells_snapshot(), "{at}");
+                    assert_eq!(reverse.cells_snapshot(), whole.cells_snapshot(), "{at}");
+                    assert_eq!(forward.retained_samples(), whole.retained_samples(), "{at}");
+                }
+                assert_eq!(forward.concurrency(2, &Obs::disabled()), whole_map, "{at}");
+                assert_eq!(reverse.concurrency(1, &Obs::disabled()), whole_map, "{at}");
+            }
+        }
+    }
+
+    #[test]
+    fn parallel_directory_fold_equals_serial_above_the_ingest_threshold() {
+        let dir = temp_dir("parallel");
+        // 200 000 records × 24 B ≈ 4.6 MiB: above PARALLEL_INGEST_MIN_BYTES,
+        // so jobs = 3 really fans three chunks out and merges them.
+        let samples: Vec<Sample> = (0..200_000u64)
+            .map(|i| sample((i % 7) as u16, (i * 7919) % 400_000, ((i * 31) % 53) as u32))
+            .collect();
+        write_shards(&dir, &samples, 16_384).unwrap();
+        let bytes: u64 = ShardReader::open(&dir)
+            .unwrap()
+            .paths()
+            .iter()
+            .map(|p| fs::metadata(p).unwrap().len())
+            .sum();
+        assert!(bytes >= PARALLEL_INGEST_MIN_BYTES, "{bytes} bytes");
+        let cfg = ConcurrencyConfig { interval: 1_000 };
+        let serial = shard_concurrency(&dir, cfg, 1, &Obs::disabled()).unwrap();
+        let fanned = shard_concurrency(&dir, cfg, 3, &Obs::disabled()).unwrap();
+        assert_eq!(fanned, serial);
+        assert_eq!(serial.1.samples, samples.len() as u64);
+        assert_eq!(serial.0, concurrency_map(&samples, &cfg));
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

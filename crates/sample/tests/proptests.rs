@@ -8,7 +8,7 @@ use slopt_obs::Obs;
 use slopt_sample::{
     concurrency_map, concurrency_map_naive, concurrency_map_reference, read_shard,
     shard_concurrency, write_shards, ConcurrencyConfig, Sample, Sampler, SamplerConfig,
-    StreamingConcurrency, WindowedConcurrency,
+    WindowedConcurrency,
 };
 use slopt_sim::{CpuId, Observer};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -174,7 +174,8 @@ proptest! {
     }
 
     /// In-memory streaming (no files): feeding samples one at a time, in
-    /// any order, equals the batch estimator for any `jobs`.
+    /// any order, into the unbounded fold equals the batch estimator for
+    /// any `jobs`.
     #[test]
     fn incremental_streaming_matches_batch(
         samples in prop::collection::vec((0u16..5, 0u64..10_000, 0u32..8), 0..150),
@@ -183,12 +184,12 @@ proptest! {
         let samples: Vec<Sample> =
             samples.into_iter().map(|(c, t, l)| mk_sample(c, t, l)).collect();
         let cfg = ConcurrencyConfig { interval: 500 };
-        let mut stream = StreamingConcurrency::new(cfg);
+        let mut stream = WindowedConcurrency::new(cfg, u64::MAX);
         for s in &samples {
             stream.ingest(std::slice::from_ref(s));
         }
-        prop_assert_eq!(stream.samples() as usize, samples.len());
-        let streamed = stream.finish(jobs, &Obs::disabled());
+        prop_assert_eq!(stream.accepted() as usize, samples.len());
+        let streamed = stream.concurrency(jobs, &Obs::disabled());
         let batch = concurrency_map(&samples, &cfg);
         prop_assert_eq!(&streamed, &batch);
     }
@@ -262,13 +263,13 @@ proptest! {
         // interval 500 over a 40_000-cycle span: up to 80 interval
         // groups, so jobs ∈ {2, 4, 7} all get non-trivial trees.
         let cfg = ConcurrencyConfig { interval: 500 };
-        let mut serial = StreamingConcurrency::new(cfg);
+        let mut serial = WindowedConcurrency::new(cfg, u64::MAX);
         serial.ingest(&samples);
-        let serial_map = serial.finish(1, &Obs::disabled());
+        let serial_map = serial.concurrency(1, &Obs::disabled());
         for jobs in [2usize, 4, 7] {
-            let mut stream = StreamingConcurrency::new(cfg);
+            let mut stream = WindowedConcurrency::new(cfg, u64::MAX);
             stream.ingest(&samples);
-            let got = stream.finish(jobs, &Obs::disabled());
+            let got = stream.concurrency(jobs, &Obs::disabled());
             prop_assert_eq!(&got, &serial_map, "jobs={}", jobs);
         }
     }
@@ -315,7 +316,8 @@ proptest! {
     #[test]
     fn windowed_fold_matches_batch_over_retained_samples(
         samples in prop::collection::vec((0u16..4, 0u64..40_000, 0u32..6), 0..150),
-        window in 1u64..9,
+        // 9 stands for the unbounded window.
+        window in (1u64..10).prop_map(|w| if w == 9 { u64::MAX } else { w }),
         chunk in 1usize..17,
     ) {
         let interval = 1_000u64;
@@ -348,6 +350,9 @@ proptest! {
             .cloned()
             .collect();
         prop_assert_eq!(win.retained_samples(), retained.len() as u64);
+        if window == u64::MAX {
+            prop_assert_eq!(win.late_dropped() + win.evicted_samples(), 0);
+        }
         let batch = concurrency_map(&retained, &cfg);
         for jobs in [1usize, 2, 4] {
             prop_assert_eq!(

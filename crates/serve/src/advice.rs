@@ -101,7 +101,7 @@ impl Advisor {
         let range = win.window_range();
         // Substitute the live window into the static analysis: the
         // suggestion pipeline downstream of CC is unchanged.
-        self.analysis.concurrency = win.concurrency_jobs(self.jobs);
+        self.analysis.concurrency = win.concurrency(self.jobs, obs);
 
         let records: Vec<(char, RecordId)> = self.kernel.records.all().to_vec();
         let plan = &self.plan;

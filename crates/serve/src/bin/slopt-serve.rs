@@ -50,9 +50,10 @@ const EXTRAS: &[(&str, bool)] = &[
     ("--batches", true),
 ];
 
-/// Largest accepted `--window`, in intervals. The window ring holds one
-/// slot per interval, allocated up front, so the cap bounds that
-/// allocation (a 1 Mi-slot ring is a few tens of MB).
+/// Largest accepted `--window`, in intervals. The fold allocates nothing
+/// in proportion to the window, so the cap only validates outside
+/// input: a window this long already spans 2^20 intervals of history,
+/// and anything larger is far more likely a typo than a need.
 const MAX_WINDOW: u64 = 1 << 20;
 
 /// Set by the SIGTERM handler; polled by the daemon main loop.

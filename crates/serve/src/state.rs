@@ -10,7 +10,7 @@
 //!    `<dir>/journal/`. The order prefix is the fold sequence number,
 //!    so a resume replays batches in exactly the order the original
 //!    process folded them.
-//! 2. **Fold** — the samples enter the [`WindowedConcurrency`] ring.
+//! 2. **Fold** — the samples enter the [`WindowedConcurrency`] window.
 //! 3. **Acknowledge** — only now does the client see `OK`. (The
 //!    `slopt-ckpt/1` meta log records the accepted-sample watermark
 //!    between steps 2 and 3.)

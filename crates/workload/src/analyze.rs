@@ -28,8 +28,8 @@ use slopt_ir::profile::Profile;
 use slopt_ir::source::SourceLine;
 use slopt_ir::types::RecordId;
 use slopt_sample::{
-    concurrency_map_obs, cycle_loss_weighted, ConcurrencyConfig, ConcurrencyMap, CycleLossMap,
-    Sample, Sampler, SamplerConfig,
+    cycle_loss_weighted, ConcurrencyConfig, ConcurrencyMap, CycleLossMap, Sample, Sampler,
+    SamplerConfig, WindowedConcurrency,
 };
 use std::collections::HashMap;
 
@@ -120,13 +120,14 @@ pub fn analyze_obs(
         obs.counter("sampler.samples", samples.len() as u64);
         obs.counter("sampler.dropped", dropped);
     }
-    let concurrency = concurrency_map_obs(
-        &samples,
-        &ConcurrencyConfig {
+    let mut fold = WindowedConcurrency::new(
+        ConcurrencyConfig {
             interval: cfg.interval,
         },
-        obs,
+        u64::MAX,
     );
+    fold.ingest(&samples);
+    let concurrency = fold.concurrency(1, obs);
     let fmf = {
         let _fmf = obs.span("fmf_build");
         FieldMap::build(kernel.program())

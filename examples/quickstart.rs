@@ -16,7 +16,7 @@ use slopt::ir::cfg::InstanceSlot;
 use slopt::ir::layout::StructLayout;
 use slopt::ir::types::{FieldType, PrimType, RecordType, TypeRegistry};
 use slopt::obs::Obs;
-use slopt::sample::{concurrency_map_obs, ConcurrencyConfig, Sampler, SamplerConfig};
+use slopt::sample::{ConcurrencyConfig, Sampler, SamplerConfig, WindowedConcurrency};
 use slopt::sim::{
     CacheConfig, EngineConfig, LatencyModel, LayoutTable, MemSystem, Topology, WorkQueue,
 };
@@ -129,11 +129,9 @@ pub fn run(obs: &Obs) -> Result<(), Box<dyn std::error::Error>> {
 
     // 4. Analysis: affinity (CycleGain) + Code Concurrency (CycleLoss).
     let affinity = slopt::ir::affinity::AffinityGraph::analyze(&program, &result.profile, rec);
-    let cm = concurrency_map_obs(
-        sampler.samples(),
-        &ConcurrencyConfig { interval: 2_000 },
-        obs,
-    );
+    let mut fold = WindowedConcurrency::new(ConcurrencyConfig { interval: 2_000 }, u64::MAX);
+    fold.ingest(sampler.samples());
+    let cm = fold.concurrency(1, obs);
     let fmf = {
         let _span = obs.span("fmf_build");
         slopt::ir::fmf::FieldMap::build(&program)
